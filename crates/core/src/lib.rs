@@ -15,8 +15,9 @@
 //!   filtering, applied to NoC topology synthesis (`mns-noc`),
 //! * [`runner`] — the deterministic parallel experiment engine: batched
 //!   [`Scenario`](runner::Scenario) evaluation across worker threads with
-//!   work stealing, fingerprint caching, deterministic sharding (in
-//!   process or across child processes via [`runner::sharded`]), and
+//!   work stealing, fingerprint caching, deterministic in-process
+//!   sharding, the shard [`manifest`](runner::manifest) wire format the
+//!   `mns-dist` cluster scheduler ships between processes, and
 //!   byte-identical serial / parallel / sharded outcomes (the golden-run
 //!   conformance contract),
 //! * [`report`] — the experiment table type shared by the examples and

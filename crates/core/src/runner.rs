@@ -36,12 +36,13 @@
 //! and returns a [`BatchReport`] (outcomes, merged stats, optional
 //! per-shard breakdown). With `shards > 1` in [`RunnerConfig`], the batch
 //! is partitioned by a deterministic [`ShardPlan`] and each shard runs on
-//! a fresh sub-engine — observationally identical to a child process, so
-//! 1 shard, N in-process shards and N [`sharded::run_sharded`] worker
-//! processes all produce byte-identical per-scenario digests and the same
-//! merged [`BatchStats::totals`]. The manifest wire format lives in
-//! [`manifest`]; the multi-process driver (timeouts, crash detection,
-//! requeue-on-failure) in [`sharded`].
+//! a fresh sub-engine — observationally identical to a worker process, so
+//! 1 shard, N in-process shards and N `mns-dist` cluster workers all
+//! produce byte-identical per-scenario digests and the same merged
+//! [`BatchStats::totals`]. The manifest wire format lives in
+//! [`manifest`]; the multi-process scheduler (deadlines, crash detection,
+//! requeue-on-failure) is `mns_dist::Cluster`, configured by
+//! [`ClusterConfig`].
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -69,7 +70,6 @@ use crate::labchip::{LabChipPipeline, PipelineConfig};
 pub use mns_fluidics::assay::AssayKind;
 
 pub mod manifest;
-pub mod sharded;
 
 /// A 64-bit digest of a scenario outcome, stable across runs, worker
 /// counts and processes (the golden corpus commits these values).
@@ -1050,11 +1050,6 @@ pub struct RunnerConfig {
     pub shards: usize,
     /// How scenarios are partitioned when `shards > 1`.
     pub strategy: ShardStrategy,
-    /// Per-shard wall-clock deadline for out-of-process execution: a
-    /// worker past it is killed and its shard requeued. The in-process
-    /// paths ignore it; [`sharded::run_sharded`] and the cluster
-    /// scheduler (`mns-dist`) enforce it.
-    pub shard_deadline: Duration,
 }
 
 impl Default for RunnerConfig {
@@ -1064,7 +1059,6 @@ impl Default for RunnerConfig {
             cache: true,
             shards: 1,
             strategy: ShardStrategy::RoundRobin,
-            shard_deadline: Duration::from_secs(120),
         }
     }
 }
@@ -1103,15 +1097,6 @@ impl RunnerConfig {
         self
     }
 
-    /// Sets the per-shard deadline enforced by the out-of-process
-    /// drivers ([`sharded::run_sharded`] and the `mns-dist` cluster
-    /// scheduler). Default: 120 s.
-    #[must_use]
-    pub fn shard_deadline(mut self, deadline: Duration) -> RunnerConfig {
-        self.shard_deadline = deadline;
-        self
-    }
-
     /// Finishes the builder into a ready [`Runner`].
     pub fn build(self) -> Runner {
         Runner::new(self)
@@ -1120,9 +1105,10 @@ impl RunnerConfig {
 
 /// Cluster-level parameters layered on [`RunnerConfig`] by the
 /// `mns-dist` scheduler. Everything a single worker needs (threads,
-/// cache, shard plan, per-shard deadline) lives in [`ClusterConfig::runner`];
-/// this struct adds only what a *fleet* of workers needs: how many
-/// endpoints, how liveness is judged, and how retries back off.
+/// cache, shard plan) lives in [`ClusterConfig::runner`]; this struct
+/// adds only what a *fleet* of workers needs: how many endpoints, how
+/// long a shard may run, how liveness is judged, and how retries back
+/// off.
 ///
 /// ```
 /// use std::time::Duration;
@@ -1138,12 +1124,14 @@ impl RunnerConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterConfig {
     /// Per-worker engine parameters: `runner.workers` is the thread
-    /// count *inside each* cluster worker, `runner.shards`/`strategy`
-    /// drive the [`ShardPlan`], and `runner.shard_deadline` is reused as
-    /// the per-shard cluster deadline.
+    /// count *inside each* cluster worker, and `runner.shards`/`strategy`
+    /// drive the [`ShardPlan`].
     pub runner: RunnerConfig,
     /// Cluster worker endpoints to launch (clamped to at least 1).
     pub workers: usize,
+    /// Per-shard wall-clock deadline: a shard whose worker has not
+    /// answered within it is requeued.
+    pub shard_deadline: Duration,
     /// How often workers emit heartbeats.
     pub heartbeat_interval: Duration,
     /// A busy worker silent for longer than this is declared dead and
@@ -1175,6 +1163,7 @@ impl Default for ClusterConfig {
                 ..RunnerConfig::default()
             },
             workers: 2,
+            shard_deadline: Duration::from_secs(120),
             heartbeat_interval: Duration::from_millis(50),
             liveness_window: Duration::from_secs(2),
             registration_window: Duration::from_secs(10),
@@ -1221,10 +1210,10 @@ impl ClusterConfig {
         self
     }
 
-    /// Sets the per-shard deadline (see [`RunnerConfig::shard_deadline`]).
+    /// Sets the per-shard deadline (default 120 s).
     #[must_use]
     pub fn shard_deadline(mut self, deadline: Duration) -> ClusterConfig {
-        self.runner = self.runner.shard_deadline(deadline);
+        self.shard_deadline = deadline;
         self
     }
 
@@ -1393,7 +1382,7 @@ impl BatchStats {
     /// rows are unioned on the `(shard, worker)` key (duplicate keys sum
     /// field-wise) and stored sorted by that key — so any merge tree over
     /// the same set of shard stats yields the same value.
-    /// `tests/sharded_conformance.rs` proptests this.
+    /// `tests/conformance.rs` proptests this.
     pub fn merge(&mut self, other: &BatchStats) {
         self.shard = self.shard.min(other.shard);
         self.scenarios += other.scenarios;
@@ -1562,13 +1551,13 @@ impl Runner {
     /// each shard runs on a *fresh* sub-engine whose cache and dedup scope
     /// is the shard itself — exactly what a child process would see — so
     /// outcomes and merged [`BatchStats::totals`] are identical whether
-    /// the shards run in this process or via [`sharded::run_sharded`].
+    /// the shards run in this process or on `mns-dist` cluster workers.
     /// Sub-engine caches and counters fold back into this runner.
     pub fn run(&mut self, scenarios: &[Scenario]) -> BatchReport {
         let _batch_span = mns_telemetry::span("runner.run");
         if self.shards <= 1 {
             let indices: Vec<usize> = (0..scenarios.len()).collect();
-            let (pairs, stats) = self.run_indices(scenarios, &indices, ShardId(0));
+            let (pairs, stats) = self.run_shard(scenarios, &indices, ShardId(0));
             BatchReport {
                 outcomes: Self::assemble(scenarios.len(), pairs),
                 stats,
@@ -1585,9 +1574,8 @@ impl Runner {
                     cache: self.cache_enabled,
                     shards: 1,
                     strategy: self.strategy,
-                    ..RunnerConfig::default()
                 });
-                let (shard_pairs, stats) = sub.run_indices(scenarios, indices, shard);
+                let (shard_pairs, stats) = sub.run_shard(scenarios, indices, shard);
                 self.stats.executed += sub.stats.executed;
                 self.stats.cache_hits += sub.stats.cache_hits;
                 self.stats.steals += sub.stats.steals;
@@ -1619,31 +1607,17 @@ impl Runner {
     /// are tagged with `shard`. Returns one `(global index, outcome)`
     /// pair per entry of `indices`, in arbitrary order.
     ///
-    /// This is the primitive out-of-process drivers build on: a
-    /// `shard_worker`/`dist_worker` process (or the `mns-dist` scheduler
-    /// recovering a lost shard in-process) evaluates its manifest through
-    /// a fresh `Runner` so the cache/dedup scope is the shard itself, and
-    /// the pairs merge back into submission order batch-wide.
+    /// This is the primitive every path builds on: [`Runner::run`]
+    /// evaluates the whole batch, or each in-process shard, through it,
+    /// and the `mns-dist` scheduler recovers a lost shard through it on a
+    /// fresh `Runner`, so the cache/dedup scope is the shard itself.
+    /// Keeping indices global keeps telemetry task tracks and outcome
+    /// slots batch-wide, whichever shard (or process) evaluates them.
     ///
     /// # Panics
     ///
     /// Panics if any index is out of bounds for `scenarios`.
     pub fn run_shard(
-        &mut self,
-        scenarios: &[Scenario],
-        indices: &[usize],
-        shard: ShardId,
-    ) -> (Vec<(usize, ScenarioOutcome)>, BatchStats) {
-        self.run_indices(scenarios, indices, shard)
-    }
-
-    /// Runs the sub-batch `indices` (global submission indices into
-    /// `scenarios`) through cache, dedup and the worker pool, tagging the
-    /// resulting stats with `shard`. Returns one `(index, outcome)` pair
-    /// per entry of `indices`, in arbitrary order. Keeping indices global
-    /// keeps telemetry task tracks and outcome slots batch-wide, whichever
-    /// shard (or process) evaluates them.
-    pub(crate) fn run_indices(
         &mut self,
         scenarios: &[Scenario],
         indices: &[usize],
@@ -2158,15 +2132,17 @@ mod tests {
     }
 
     #[test]
-    fn runner_config_builder_sets_shard_deadline() {
-        let config = RunnerConfig::new()
-            .workers(2)
+    fn cluster_config_builder_sets_shard_deadline() {
+        let config = ClusterConfig::new()
             .shards(3)
             .shard_deadline(Duration::from_secs(7));
         assert_eq!(config.shard_deadline, Duration::from_secs(7));
+        // The deadline is a cluster knob: the per-worker engine config
+        // is untouched by it.
+        assert_eq!(config.runner, ClusterConfig::default().runner.shards(3));
         // The default stays at the historical hard-coded value.
         assert_eq!(
-            RunnerConfig::default().shard_deadline,
+            ClusterConfig::default().shard_deadline,
             Duration::from_secs(120)
         );
     }
@@ -2190,7 +2166,7 @@ mod tests {
         assert_eq!(cfg.runner.workers, 3);
         assert_eq!(cfg.runner.shards, 5);
         assert_eq!(cfg.runner.strategy, ShardStrategy::ByFamily);
-        assert_eq!(cfg.runner.shard_deadline, Duration::from_secs(9));
+        assert_eq!(cfg.shard_deadline, Duration::from_secs(9));
         assert_eq!(cfg.max_attempts, 1);
         assert_eq!(cfg.backoff_base, Duration::from_millis(5));
         assert_eq!(cfg.backoff_cap, Duration::from_millis(80));

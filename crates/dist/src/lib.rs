@@ -1,8 +1,9 @@
 //! # mns-dist — transport-agnostic cluster scheduler
 //!
-//! Scales the deterministic experiment engine from one machine's
-//! process pool ([`mns_core::runner::sharded`]) to a cluster of workers
-//! behind a pluggable [`Transport`]:
+//! Spreads the deterministic experiment engine's in-process shards
+//! ([`mns_core::runner::Runner::run`]) over a cluster of worker
+//! processes behind a pluggable [`Transport`]. It is the kit's one
+//! multi-process path:
 //!
 //! | transport | medium | use |
 //! |---|---|---|

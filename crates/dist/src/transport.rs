@@ -13,7 +13,6 @@ use std::io;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use mns_core::runner::sharded::locate_named_worker;
 use mns_core::runner::ShardId;
 
 /// Worker identity on the wire (see
@@ -146,12 +145,33 @@ pub fn resolve_worker_binary(opts: &LaunchOpts) -> io::Result<PathBuf> {
     if let Some(path) = std::env::var_os(DIST_WORKER_ENV) {
         return Ok(PathBuf::from(path));
     }
-    locate_named_worker("dist_worker").ok_or_else(|| {
+    locate_dist_worker().ok_or_else(|| {
         io::Error::new(
             io::ErrorKind::NotFound,
             "no dist_worker binary found (set MNS_DIST_WORKER or LaunchOpts::worker_binary)",
         )
     })
+}
+
+/// Searches for the `dist_worker` binary next to the current
+/// executable: its own directory, parent directories up to the target
+/// root, and their `deps`/`examples` subdirectories. Returns the first
+/// existing candidate.
+fn locate_dist_worker() -> Option<PathBuf> {
+    let exe = std::env::current_exe().ok()?;
+    let name = format!("dist_worker{}", std::env::consts::EXE_SUFFIX);
+    let mut dirs: Vec<PathBuf> = Vec::new();
+    let mut cursor = exe.parent();
+    for _ in 0..3 {
+        let Some(dir) = cursor else { break };
+        dirs.push(dir.to_path_buf());
+        dirs.push(dir.join("deps"));
+        dirs.push(dir.join("examples"));
+        cursor = dir.parent();
+    }
+    dirs.into_iter()
+        .map(|d| d.join(&name))
+        .find(|p| p.is_file())
 }
 
 /// A cluster transport: launches workers, surfaces their events,

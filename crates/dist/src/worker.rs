@@ -5,10 +5,11 @@
 //! on an interval, and answer each
 //! [`Assign`](crate::protocol::Message::Assign) with a
 //! [`Result`](crate::protocol::Message::Result) whose outcome payload is
-//! the exact wire text a `shard_worker` child would have written — a
-//! fresh [`Runner`](mns_core::runner::Runner) per shard so the
-//! cache/dedup scope is the shard, stats restamped with the global shard
-//! id. Evaluation happens on a helper thread so heartbeats keep flowing
+//! the shard's outcome file in the
+//! [`manifest`](mns_core::runner::manifest) wire format — a fresh
+//! [`Runner`](mns_core::runner::Runner) per shard so the cache/dedup
+//! scope is the shard, stats restamped with the global shard id.
+//! Evaluation happens on a helper thread so heartbeats keep flowing
 //! during long shards.
 
 use std::path::Path;
@@ -33,9 +34,9 @@ const STALL_CAP: Duration = Duration::from_secs(600);
 /// the scheduler's outcome parser must reject.
 pub(crate) const CORRUPT_PAYLOAD: &str = "# not an outcome file\ngarbage\n";
 
-/// Evaluates one manifest exactly like a `shard_worker` child process:
-/// parse, run on a fresh engine with `threads` workers, restamp the
-/// stats with the manifest's shard id, and render the outcome file.
+/// Evaluates one shard manifest: parse, run on a fresh engine with
+/// `threads` workers (0 = one per hardware thread), restamp the stats
+/// with the manifest's shard id, and render the outcome file.
 /// When `collect_metrics` is set, global telemetry is reset + enabled
 /// around the run and the drained snapshot's wire text is returned —
 /// only meaningful in a dedicated worker process, where this worker is
@@ -381,7 +382,7 @@ mod tests {
     use mns_core::runner::{conformance_corpus, Runner};
 
     #[test]
-    fn evaluate_manifest_matches_the_shard_worker_contract() {
+    fn evaluate_manifest_matches_the_worker_contract() {
         let corpus: Vec<Scenario> = conformance_corpus(42)
             .into_iter()
             .filter(|s| matches!(s, Scenario::Knockout(_) | Scenario::Harvest(_)))

@@ -1,10 +1,10 @@
 //! Cluster worker: the long-lived endpoint half of `mns-dist`.
 //!
-//! Where `shard_worker` evaluates exactly one manifest and exits, a
-//! `dist_worker` registers with a [`Cluster`](micronano::dist::Cluster)
-//! scheduler, heartbeats on an interval, and evaluates every shard it is
-//! assigned until told to shut down. Usage (normally spawned by a
-//! transport, not by hand):
+//! A `dist_worker` registers with a
+//! [`Cluster`](micronano::dist::Cluster) scheduler, heartbeats on an
+//! interval, and evaluates every shard it is assigned until told to shut
+//! down. `--threads 0` runs one engine thread per hardware thread. Usage
+//! (normally spawned by a transport, not by hand):
 //!
 //! ```sh
 //! dist_worker --transport tcp   --connect 127.0.0.1:PORT \
@@ -84,7 +84,7 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args {
         endpoint,
         name: name.ok_or("--name is required")?,
-        threads: threads.max(1),
+        threads,
         heartbeat,
         metrics,
     })

@@ -6,7 +6,8 @@
 //!
 //! 1. **Transport matrix**: serial == in-process sharded == in-process
 //!    cluster == TCP cluster == spool cluster, for N ∈ {1, 2, 4}
-//!    workers and both shard strategies.
+//!    workers and both shard strategies. `threads_per_worker(0)` gives
+//!    the same per-worker layout in process and over TCP.
 //! 2. **Failure recovery**: a TCP worker killed mid-shard, a TCP worker
 //!    whose heartbeats stall past the liveness window, and a spool
 //!    worker that commits a corrupt result file all requeue onto
@@ -21,58 +22,24 @@
 //! uses a cheap-family subset (dilution-ladder scenarios dominate debug
 //! wall time) that is still asserted digest-by-digest against the
 //! golden file.
+//!
+//! The per-worker stats layout against the in-process sharded run, the
+//! by-family full-corpus sweep, sole-worker crash recovery and the spool
+//! deadline case live in `tests/sharded_conformance.rs`.
 
-use std::collections::BTreeMap;
-use std::path::PathBuf;
+mod common;
+
 use std::sync::Once;
 use std::time::Duration;
 
+use common::{assert_golden, assert_matches_serial, run_cluster, CORPUS_SEED};
 use micronano::core::runner::{
-    conformance_corpus, ClusterConfig, Runner, Scenario, ScenarioOutcome, ShardStrategy,
+    conformance_corpus, BatchTotals, ClusterConfig, Runner, Scenario, ShardStrategy,
 };
 use micronano::dist::{
     Cluster, ClusterReport, DistFault, FaultMode, InProcess, SpoolTransport, TcpTransport,
-    Transport,
 };
 use micronano::telemetry;
-
-/// Seed of the committed corpus (must match `examples/regen_golden.rs`).
-const CORPUS_SEED: u64 = 42;
-
-/// The cluster worker binary Cargo built for this test run.
-fn worker_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_BIN_EXE_dist_worker"))
-}
-
-fn golden_digests() -> BTreeMap<String, String> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/corpus.txt");
-    let text = std::fs::read_to_string(path).expect("tests/golden/corpus.txt is committed");
-    text.lines()
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| {
-            let (label, digest) = l.rsplit_once(' ').expect("`label digest` lines");
-            (label.to_owned(), digest.to_owned())
-        })
-        .collect()
-}
-
-/// Asserts every outcome digest matches the committed golden file for
-/// its scenario — works on any corpus subset, not just the full corpus.
-fn assert_golden(corpus: &[Scenario], outcomes: &[ScenarioOutcome]) {
-    let golden = golden_digests();
-    assert_eq!(outcomes.len(), corpus.len());
-    for (scenario, outcome) in corpus.iter().zip(outcomes) {
-        let label = scenario.label();
-        let expected = golden
-            .get(&label)
-            .unwrap_or_else(|| panic!("scenario `{label}` missing from golden file"));
-        assert_eq!(
-            *expected,
-            outcome.digest().to_string(),
-            "golden drift on `{label}`"
-        );
-    }
-}
 
 /// Cheap corpus subset for the wide matrix and the failure tests:
 /// knockout / harvest / NoC scenarios evaluate in milliseconds even in
@@ -108,34 +75,6 @@ fn counter(name: &str) -> u64 {
         .get(name)
         .copied()
         .unwrap_or(0)
-}
-
-fn run_cluster(
-    transport: impl Transport + 'static,
-    config: ClusterConfig,
-    corpus: &[Scenario],
-    fault: Option<DistFault>,
-) -> ClusterReport {
-    let mut cluster = Cluster::new(transport, config).with_worker_binary(worker_path());
-    if let Some(fault) = fault {
-        cluster = cluster.with_fault(fault);
-    }
-    cluster.run(corpus)
-}
-
-/// Asserts one report matches the serial reference bit for bit.
-fn assert_matches_serial(corpus: &[Scenario], report: &ClusterReport, context: &str) {
-    let reference = Runner::serial().run(corpus);
-    assert_eq!(
-        reference.outcomes, report.outcomes,
-        "outcome drift: {context}"
-    );
-    assert_eq!(
-        reference.stats.totals(),
-        report.stats.totals(),
-        "stats drift: {context}"
-    );
-    assert_golden(corpus, &report.outcomes);
 }
 
 #[test]
@@ -295,6 +234,43 @@ fn metrics_counters_identical_across_process_transports() {
 }
 
 #[test]
+fn hardware_default_threads_match_across_transports() {
+    // `threads_per_worker(0)` means one engine thread per hardware
+    // thread inside every worker, whichever transport carries it. Steals
+    // are scheduling-dependent and not compared.
+    let corpus = cheap_corpus();
+    let config = ClusterConfig::new()
+        .workers(2)
+        .shards(4)
+        .threads_per_worker(0);
+    let in_process = Cluster::new(InProcess::new(), config).run(&corpus);
+    let tcp = run_cluster(
+        TcpTransport::bind().expect("loopback listener"),
+        config,
+        &corpus,
+        None,
+    );
+    let reference = Runner::serial().run(&corpus);
+    for report in [&in_process, &tcp] {
+        assert_eq!(reference.outcomes, report.outcomes);
+        assert_golden(&corpus, &report.outcomes);
+    }
+    let totals = |report: &ClusterReport| BatchTotals {
+        steals: 0,
+        ..report.stats.totals()
+    };
+    assert_eq!(totals(&in_process), totals(&tcp));
+    let rows = |report: &ClusterReport| -> Vec<usize> {
+        report.shards.iter().map(|s| s.per_worker.len()).collect()
+    };
+    assert_eq!(
+        rows(&in_process),
+        rows(&tcp),
+        "per-shard worker rows must not depend on the transport"
+    );
+}
+
+#[test]
 fn tcp_worker_killed_mid_shard_recovers_on_survivor() {
     enable_telemetry_once();
     let requeues_before = counter("dist.requeue");
@@ -345,9 +321,9 @@ fn tcp_worker_heartbeat_stall_trips_the_liveness_window() {
 
 #[test]
 fn stalled_worker_trips_the_shard_deadline_when_liveness_is_lenient() {
-    // Satellite contract: the configurable RunnerConfig::shard_deadline
-    // is the cluster's per-shard deadline. With a liveness window too
-    // lenient to notice the stall, the deadline alone must requeue.
+    // ClusterConfig::shard_deadline is the cluster's per-shard deadline.
+    // With a liveness window too lenient to notice the stall, the
+    // deadline alone must requeue.
     let corpus = cheap_corpus();
     let config = ClusterConfig::new()
         .workers(2)

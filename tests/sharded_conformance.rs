@@ -1,189 +1,118 @@
-//! Sharded-run conformance: distribution must never move a bit.
+//! Multi-process sharded-run conformance: distribution across worker
+//! processes must never move a bit.
 //!
-//! Contracts, in increasing strength, all against the golden corpus of
-//! `tests/golden/corpus.txt` (seed 42):
+//! Every sweep here goes through `Cluster` with real `dist_worker`
+//! processes, against the golden corpus of `tests/golden/corpus.txt`
+//! (seed 42):
 //!
-//! 1. **In-process shards**: `RunnerConfig::new().shards(n)` for
-//!    n ∈ {1, 2, 4} produces outcomes byte-identical to serial and
-//!    digests identical to the golden file, with identical
-//!    [`BatchTotals`].
-//! 2. **Child-process shards**: `run_sharded` over n ∈ {1, 2, 4}
-//!    real `shard_worker` processes produces the same bytes, totals —
-//!    and, at one worker per shard, per-worker stats identical to the
-//!    in-process sharded layout.
-//! 3. **Fault recovery**: a worker that crashes mid-shard or hangs past
-//!    the deadline is requeued in-process and the merged report still
-//!    carries golden digests.
-//! 4. **Merge algebra** (property): [`BatchStats::merge`] is associative
-//!    and order-insensitive on random stats, so the merged result cannot
-//!    depend on shard completion order.
+//! 1. **Child-process shards**: the full corpus over TCP at n ∈ {1, 2, 4}
+//!    shards (round-robin) and at 3 shards by family produces outcomes
+//!    byte-identical to serial and golden digests — and, at one thread
+//!    per worker, stats identical to the in-process sharded layout,
+//!    per shard and per worker row.
+//! 2. **Fault recovery**: a sole worker that crashes mid-shard leaves
+//!    its shards to in-process recovery, and a worker that hangs past
+//!    the shard deadline is dropped and its shard requeued; the merged
+//!    report still carries golden digests.
+//! 3. **Telemetry**: merged child metrics agree with the merged stats.
+//!
+//! The transport matrix and the survivor-based recovery cases live in
+//! `tests/cluster_conformance.rs`.
 
-use std::collections::BTreeMap;
-use std::path::PathBuf;
+mod common;
+
 use std::time::Duration;
 
-use micronano::core::runner::sharded::{run_sharded, ShardFault, ShardedConfig};
+use common::{assert_matches_serial, run_cluster, CORPUS_SEED};
 use micronano::core::runner::{
-    conformance_corpus, BatchStats, Runner, RunnerConfig, Scenario, ShardId, ShardStrategy,
-    WorkerBatchStats,
+    conformance_corpus, ClusterConfig, RunnerConfig, Scenario, ShardId, ShardStrategy,
 };
-use proptest::prelude::*;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use micronano::dist::{DistFault, FaultMode, SpoolTransport, TcpTransport};
 
-/// Seed of the committed corpus (must match `examples/regen_golden.rs`).
-const CORPUS_SEED: u64 = 42;
-
-/// The worker binary Cargo built for this test run.
-fn worker_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_BIN_EXE_shard_worker"))
-}
-
-fn golden_digests() -> BTreeMap<String, String> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/corpus.txt");
-    let text = std::fs::read_to_string(path).expect("tests/golden/corpus.txt is committed");
-    text.lines()
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| {
-            let (label, digest) = l.rsplit_once(' ').expect("`label digest` lines");
-            (label.to_owned(), digest.to_owned())
-        })
-        .collect()
-}
-
-/// Asserts every outcome digest matches the committed golden file.
-fn assert_golden(corpus: &[Scenario], outcomes: &[micronano::core::runner::ScenarioOutcome]) {
-    let golden = golden_digests();
-    assert_eq!(golden.len(), corpus.len());
-    assert_eq!(outcomes.len(), corpus.len());
-    for (scenario, outcome) in corpus.iter().zip(outcomes) {
-        let label = scenario.label();
-        let expected = golden
-            .get(&label)
-            .unwrap_or_else(|| panic!("scenario `{label}` missing from golden file"));
-        assert_eq!(
-            *expected,
-            outcome.digest().to_string(),
-            "golden drift on `{label}`"
-        );
-    }
-}
-
-#[test]
-fn in_process_shards_match_serial_and_golden() {
+/// Full-corpus TCP sweep at `shards` shards; at one thread per worker
+/// the cluster must report the *same stats* as the equivalent
+/// in-process sharded run — not just the same totals: same per-shard
+/// breakdown, same per-worker rows.
+fn assert_tcp_layout_matches_in_process(shards: usize, strategy: ShardStrategy) {
     let corpus = conformance_corpus(CORPUS_SEED);
-    let reference = Runner::serial().run(&corpus);
-    for shards in [1usize, 2, 4] {
-        for strategy in [ShardStrategy::RoundRobin, ShardStrategy::ByFamily] {
-            let report = RunnerConfig::new()
-                .workers(1)
-                .shards(shards)
-                .strategy(strategy)
-                .cache(false)
-                .build()
-                .run(&corpus);
-            assert_eq!(
-                reference.outcomes, report.outcomes,
-                "outcome drift at {shards} in-process shards ({strategy:?})"
-            );
-            assert_eq!(
-                reference.stats.totals(),
-                report.stats.totals(),
-                "stats drift at {shards} in-process shards ({strategy:?})"
-            );
-            assert_golden(&corpus, &report.outcomes);
-        }
+    let context = format!("tcp, full corpus, {shards} shards {strategy:?}");
+    let config = ClusterConfig::new()
+        .workers(2)
+        .shards(shards)
+        .strategy(strategy)
+        .threads_per_worker(1);
+    let transport = TcpTransport::bind().expect("loopback listener");
+    let report = run_cluster(transport, config, &corpus, None);
+    assert_matches_serial(&corpus, &report, &context);
+    assert_eq!(report.requeues, 0, "{context}");
+    assert!(
+        report.recovered.is_empty(),
+        "healthy workers must not be recovered in-process: {context}: {:?}",
+        report.recovered
+    );
+
+    let in_process = RunnerConfig::new()
+        .workers(1)
+        .shards(shards)
+        .strategy(strategy)
+        .build()
+        .run(&corpus);
+    assert_eq!(in_process.stats, report.stats, "{context}");
+    // `BatchReport::shards` is empty for the unsharded (shards = 1)
+    // in-process path; the cluster always reports one row per planned
+    // shard.
+    assert_eq!(report.shards.len(), shards, "{context}");
+    if shards > 1 {
+        assert_eq!(in_process.shards, report.shards, "{context}");
     }
 }
 
 #[test]
 fn child_process_shards_match_serial_and_golden() {
-    let corpus = conformance_corpus(CORPUS_SEED);
-    let reference = Runner::serial().run(&corpus);
     for shards in [1usize, 2, 4] {
-        let config = ShardedConfig {
-            shards,
-            worker: Some(worker_path()),
-            ..ShardedConfig::default()
-        };
-        let report = run_sharded(&corpus, &config).expect("driver I/O works");
-        assert!(
-            report.recovered.is_empty(),
-            "healthy workers must not be requeued at {shards} shards: {:?}",
-            report.recovered
-        );
-        assert_eq!(
-            reference.outcomes, report.outcomes,
-            "outcome drift at {shards} child processes"
-        );
-        assert_eq!(reference.stats.totals(), report.stats.totals());
-        assert_golden(&corpus, &report.outcomes);
-
-        // At one worker per shard the multi-process run must report the
-        // *same stats* as the equivalent in-process sharded run — not
-        // just the same totals: same per-shard breakdown, same
-        // per-worker rows.
-        let in_process = RunnerConfig::new()
-            .workers(1)
-            .shards(shards)
-            .build()
-            .run(&corpus);
-        assert_eq!(in_process.stats, report.stats);
-        // `BatchReport::shards` is empty for the unsharded (shards = 1)
-        // in-process path; `run_sharded` always reports one row per
-        // planned shard.
-        assert_eq!(report.shards.len(), shards);
-        if shards > 1 {
-            assert_eq!(in_process.shards, report.shards);
-        }
+        assert_tcp_layout_matches_in_process(shards, ShardStrategy::RoundRobin);
     }
 }
 
 #[test]
 fn by_family_child_process_run_matches_serial() {
-    let corpus = conformance_corpus(CORPUS_SEED);
-    let reference = Runner::serial().run(&corpus);
-    let config = ShardedConfig {
-        shards: 3,
-        strategy: ShardStrategy::ByFamily,
-        worker: Some(worker_path()),
-        ..ShardedConfig::default()
-    };
-    let report = run_sharded(&corpus, &config).expect("driver I/O works");
-    assert!(report.recovered.is_empty());
-    assert_eq!(reference.outcomes, report.outcomes);
-    assert_eq!(reference.stats.totals(), report.stats.totals());
-    assert_golden(&corpus, &report.outcomes);
+    // The cheap cluster matrix never sends fluidics, labchip or
+    // WSN-lifetime scenarios through a worker process; by family each of
+    // those families lands whole on one shard here.
+    assert_tcp_layout_matches_in_process(3, ShardStrategy::ByFamily);
 }
 
 #[test]
 fn crashed_worker_is_requeued_without_digest_drift() {
+    // A sole worker dies on its first assignment: with no survivor to
+    // take the requeue, every shard is recovered in-process.
     let corpus = conformance_corpus(CORPUS_SEED);
-    let reference = Runner::serial().run(&corpus);
-    let config = ShardedConfig {
-        shards: 2,
-        worker: Some(worker_path()),
-        fault: Some(ShardFault::Crash(ShardId(1))),
-        ..ShardedConfig::default()
+    let config = ClusterConfig::new().workers(1).shards(2);
+    let transport = TcpTransport::bind().expect("loopback listener");
+    let fault = DistFault {
+        worker: 0,
+        mode: FaultMode::Crash,
     };
-    let report = run_sharded(&corpus, &config).expect("driver I/O works");
+    let report = run_cluster(transport, config, &corpus, Some(fault));
+    assert_matches_serial(&corpus, &report, "sole-worker crash recovery");
     assert_eq!(
         report.recovered,
-        vec![ShardId(1)],
-        "exactly the crashed shard must be requeued"
+        vec![ShardId(0), ShardId(1)],
+        "with the fleet gone every shard is recovered in-process"
     );
-    assert_eq!(reference.outcomes, report.outcomes);
-    assert_eq!(reference.stats.totals(), report.stats.totals());
-    assert_golden(&corpus, &report.outcomes);
+    assert!(report.placements.iter().all(|p| p.worker.is_none()));
 }
 
 #[test]
 fn hung_worker_is_killed_at_the_deadline_and_requeued() {
-    // Small cheap batch: the healthy shard finishes fast, the hung one
-    // sleeps forever and must be killed when the 1-second deadline
-    // passes. Only sub-millisecond families qualify — a dilution ladder
-    // or washing chain in the healthy shard can cost hundreds of
-    // milliseconds (seconds in debug) and bust the deadline itself.
+    // Small cheap batch: the healthy shard finishes fast, the hung worker
+    // sleeps and must be dropped when the 1-second deadline passes. Only
+    // sub-millisecond families qualify — a dilution ladder or washing
+    // chain in the healthy shard can cost hundreds of milliseconds
+    // (seconds in debug) and bust the deadline itself. The liveness
+    // window is too lenient to fire first, and the spool transport
+    // carries the sweep (the TCP deadline case is in
+    // `tests/cluster_conformance.rs`).
     let batch: Vec<Scenario> = conformance_corpus(CORPUS_SEED)
         .into_iter()
         .filter(|s| {
@@ -194,18 +123,23 @@ fn hung_worker_is_killed_at_the_deadline_and_requeued() {
         })
         .take(6)
         .collect();
-    let reference = Runner::serial().run(&batch);
-    let config = ShardedConfig {
-        shards: 2,
-        timeout: Duration::from_secs(1),
-        worker: Some(worker_path()),
-        fault: Some(ShardFault::Hang(ShardId(0))),
-        ..ShardedConfig::default()
+    let config = ClusterConfig::new()
+        .workers(2)
+        .shards(2)
+        .liveness_window(Duration::from_secs(30))
+        .shard_deadline(Duration::from_secs(1));
+    let transport = SpoolTransport::ephemeral().expect("spool dir");
+    let fault = DistFault {
+        worker: 0,
+        mode: FaultMode::StallHeartbeat,
     };
-    let report = run_sharded(&batch, &config).expect("driver I/O works");
-    assert_eq!(report.recovered, vec![ShardId(0)]);
-    assert_eq!(reference.outcomes, report.outcomes);
-    assert_eq!(reference.stats.totals(), report.stats.totals());
+    let report = run_cluster(transport, config, &batch, Some(fault));
+    assert_matches_serial(&batch, &report, "spool deadline recovery");
+    assert!(report.requeues >= 1, "the deadline must requeue the shard");
+    assert_eq!(
+        report.heartbeat_misses, 0,
+        "a 30 s liveness window must not fire first"
+    );
 }
 
 #[test]
@@ -215,13 +149,13 @@ fn child_metrics_are_collected_and_merged() {
         .filter(|s| !matches!(s, Scenario::LabChip(_)))
         .take(8)
         .collect();
-    let config = ShardedConfig {
-        shards: 2,
-        collect_metrics: true,
-        worker: Some(worker_path()),
-        ..ShardedConfig::default()
-    };
-    let report = run_sharded(&batch, &config).expect("driver I/O works");
+    let config = ClusterConfig::new()
+        .workers(2)
+        .shards(2)
+        .collect_metrics(true);
+    let transport = TcpTransport::bind().expect("loopback listener");
+    let report = run_cluster(transport, config, &batch, None);
+    assert_matches_serial(&batch, &report, "tcp with metrics");
     assert!(report.recovered.is_empty());
     let metrics = report.metrics.expect("collect_metrics fills the snapshot");
     assert_eq!(
@@ -229,67 +163,4 @@ fn child_metrics_are_collected_and_merged() {
         report.stats.executed,
         "merged child telemetry must agree with the merged stats"
     );
-}
-
-/// A random-but-plausible `BatchStats`, derived deterministically from
-/// `seed` (the vendored proptest has no composite strategies, so the
-/// properties draw seeds and expand them here).
-fn random_stats(seed: u64) -> BatchStats {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let shard = ShardId(rng.gen_range(0..4u32));
-    let per_worker = (0..rng.gen_range(0..4usize))
-        .map(|_| WorkerBatchStats {
-            shard,
-            worker: rng.gen_range(0..4u32),
-            executed: rng.gen_range(0..40),
-            steals: rng.gen_range(0..10),
-            cache_hits: rng.gen_range(0..10),
-        })
-        .collect();
-    BatchStats {
-        shard,
-        scenarios: rng.gen_range(0..100),
-        executed: rng.gen_range(0..100),
-        cache_hits: rng.gen_range(0..50),
-        deduped: rng.gen_range(0..50),
-        steals: rng.gen_range(0..20),
-        per_worker,
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    // (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c): the driver may merge shard results in
-    // any grouping as children finish.
-    #[test]
-    fn merge_is_associative(
-        sa in 0u64..1_000_000,
-        sb in 0u64..1_000_000,
-        sc in 0u64..1_000_000,
-    ) {
-        let (a, b, c) = (random_stats(sa), random_stats(sb), random_stats(sc));
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        prop_assert_eq!(left, right);
-    }
-
-    // Merging a permutation of the same parts yields the same report.
-    #[test]
-    fn merge_is_order_insensitive(
-        seeds in collection::vec(0u64..1_000_000, 1..5),
-        i in 0usize..4,
-        j in 0usize..4,
-    ) {
-        let parts: Vec<BatchStats> = seeds.iter().map(|&s| random_stats(s)).collect();
-        let forward = BatchStats::merged(&parts);
-        let mut shuffled: Vec<BatchStats> = parts.iter().rev().cloned().collect();
-        shuffled.swap(i % parts.len(), j % parts.len());
-        prop_assert_eq!(forward, BatchStats::merged(&shuffled));
-    }
 }
