@@ -2206,6 +2206,20 @@ mod tests {
         );
     }
 
+    /// Pins the cache key of every corpus scenario. The fingerprint also
+    /// drives the round-robin [`ShardPlan`] deal, so a drift here would
+    /// silently reshuffle which scenarios each cluster worker receives.
+    #[test]
+    fn corpus_fingerprints_are_pinned() {
+        let fold = conformance_corpus(42)
+            .iter()
+            .fold(0u64, |acc, s| acc.rotate_left(5) ^ s.fingerprint());
+        assert_eq!(
+            fold, 0x8d70_1abb_b5c8_04b5,
+            "fingerprint drift: {fold:#018x}"
+        );
+    }
+
     #[test]
     fn fingerprint_sees_every_field() {
         let a = Scenario::Harvest(HarvestScenario {

@@ -1000,17 +1000,198 @@ mod tests {
     fn assay_kind_tokens_are_stable_and_rejections_clean() {
         // The kind token is part of the wire contract — a rename would
         // silently orphan committed manifests.
-        let enc = |k| encode_assay_kind(k);
-        assert_eq!(enc(AssayKind::Multiplex), "multiplex");
-        assert_eq!(enc(AssayKind::SerialDilution), "dilution");
-        assert_eq!(enc(AssayKind::Washing { wash_steps: 2 }), "wash 2");
-        assert_eq!(enc(AssayKind::MixingTree { fanin: 3 }), "mixtree 3");
-        assert_eq!(enc(AssayKind::DilutionGradient), "gradient");
+        let enc = |assay| {
+            encode_scenario(&Scenario::FluidicsCompile(FluidicsScenario {
+                assay,
+                plex: 1,
+                grid_side: 16,
+                dead_fraction: 0.0,
+                fault_seed: 0,
+            }))
+        };
+        let rec = |kind: &str| format!("fluidics {kind} 1 16 0000000000000000 0");
+        assert_eq!(enc(AssayKind::Multiplex), rec("multiplex"));
+        assert_eq!(enc(AssayKind::SerialDilution), rec("dilution"));
+        assert_eq!(enc(AssayKind::Washing { wash_steps: 2 }), rec("wash 2"));
+        assert_eq!(enc(AssayKind::MixingTree { fanin: 3 }), rec("mixtree 3"));
+        assert_eq!(enc(AssayKind::DilutionGradient), rec("gradient"));
         assert!(decode_scenario("fluidics martian 1 16 0000000000000000 0").is_err());
         assert!(
             decode_scenario("fluidics wash 1 16 0000000000000000 0").is_err(),
             "wash eats its steps token, leaving the record truncated"
         );
+    }
+
+    /// One literal record per scenario family. The bytes are the wire
+    /// contract: any change to field order or token form shows up here.
+    #[test]
+    fn scenario_records_are_pinned_per_family() {
+        let cases = [
+            (
+                Scenario::FluidicsCompile(FluidicsScenario {
+                    assay: AssayKind::Washing { wash_steps: 2 },
+                    plex: 3,
+                    grid_side: 16,
+                    dead_fraction: 0.0625,
+                    fault_seed: 11,
+                }),
+                "fluidics wash 2 3 16 3fb0000000000000 11",
+            ),
+            (
+                Scenario::LabChip(LabChipScenario {
+                    assay: AssayKind::MixingTree { fanin: 4 },
+                    seed: 42,
+                    samples_per_run: 2,
+                    dead_fraction: 0.125,
+                    fault_seed: 7,
+                }),
+                "labchip mixtree 4 42 2 3fc0000000000000 7",
+            ),
+            (
+                Scenario::NocPoint(NocScenario {
+                    app: CommGraph::new(
+                        3,
+                        vec![
+                            Flow {
+                                src: 0,
+                                dst: 1,
+                                rate: 0.5,
+                            },
+                            Flow {
+                                src: 2,
+                                dst: 0,
+                                rate: 1.5,
+                            },
+                        ],
+                    ),
+                    max_cluster: 2,
+                    shortcuts: 1,
+                }),
+                "noc 2 1 3 2 0 1 3fe0000000000000 2 0 3ff8000000000000",
+            ),
+            (
+                Scenario::WsnLifetime(WsnScenario {
+                    nodes: 40,
+                    side: 100.0,
+                    protocol: Protocol::tree(16.0, true),
+                    failure_rate: 0.0,
+                    max_rounds: 300,
+                    seed: 7,
+                    policies: Some(PolicyAssignment::RoundRobin(vec![
+                        PolicyExpr::Fixed(0.5),
+                        PolicyExpr::Forecast { alpha: 0.25 },
+                    ])),
+                }),
+                "wsn 40 4059000000000000 tree 4030000000000000 1 0000000000000000 300 7 \
+                 policies mix 2 fixed 3fe0000000000000 forecast 3fd0000000000000",
+            ),
+            (
+                Scenario::Harvest(HarvestScenario {
+                    policy: PolicyExpr::Clamp {
+                        inner: Box::new(PolicyExpr::Derate {
+                            inner: Box::new(PolicyExpr::Forecast { alpha: 0.25 }),
+                            fade: 0.125,
+                            floor: 0.5,
+                        }),
+                        lo: 0.0625,
+                        hi: 0.75,
+                    },
+                    days: 10,
+                    cloudiness: 0.25,
+                    seed: 42,
+                }),
+                "harvest clamp 3fb0000000000000 3fe8000000000000 \
+                 derate 3fc0000000000000 3fe0000000000000 forecast 3fd0000000000000 \
+                 10 3fd0000000000000 42",
+            ),
+            (
+                Scenario::Knockout(KnockoutScenario {
+                    model: GrnModel::Arabidopsis { whorl: 1 },
+                    knockout: Some("AP3".to_owned()),
+                }),
+                "grn arabidopsis 1 ko x415033",
+            ),
+        ];
+        for (scenario, record) in cases {
+            assert_eq!(encode_scenario(&scenario), record);
+            assert_eq!(decode_scenario(record).as_ref(), Ok(&scenario));
+        }
+    }
+
+    /// One literal record per outcome variant.
+    #[test]
+    fn outcome_records_are_pinned_per_variant() {
+        let cases = [
+            (
+                ScenarioOutcome::Fluidics {
+                    compiled: true,
+                    makespan: 31,
+                    moves: 120,
+                    stalls: 4,
+                    energy: 900,
+                    reroutes: 1,
+                    abandoned: 0,
+                },
+                "fluidics 1 31 120 4 900 1 0",
+            ),
+            (
+                ScenarioOutcome::LabChip {
+                    ok: true,
+                    makespan: 40,
+                    energy: 1000,
+                    sensing_error: 0.125,
+                    biclusters: 3,
+                    recovery: 1.0,
+                    relevance: 0.75,
+                    samples_dropped: 1,
+                },
+                "labchip 1 40 1000 3fc0000000000000 3 3ff0000000000000 3fe8000000000000 1",
+            ),
+            (
+                ScenarioOutcome::Noc {
+                    feasible: true,
+                    weighted_hops: 1.5,
+                    energy: 4.0,
+                    area: 16.0,
+                    deadlock_free: false,
+                },
+                "noc 1 3ff8000000000000 4010000000000000 4030000000000000 0",
+            ),
+            (
+                ScenarioOutcome::Wsn {
+                    first_death: 10,
+                    half_death: 20,
+                    rounds: 30,
+                    sensed: 400,
+                    delivered: 390,
+                    avg_coverage: 0.75,
+                    energy_spent: 2.0,
+                },
+                "wsn 10 20 30 400 390 3fe8000000000000 4000000000000000",
+            ),
+            (
+                ScenarioOutcome::Harvest {
+                    work: 8.0,
+                    dead_slots: 3,
+                    total_slots: 240,
+                    wasted: 0.5,
+                    harvested: 16.0,
+                    final_battery: 1.0,
+                },
+                "harvest 4020000000000000 3 240 3fe0000000000000 4030000000000000 3ff0000000000000",
+            ),
+            (
+                ScenarioOutcome::Knockout {
+                    fixed_points: vec![5, 12],
+                    annotation: "Th1/Th2".to_owned(),
+                },
+                "grn 2 5 12 x5468312f546832",
+            ),
+        ];
+        for (outcome, record) in cases {
+            assert_eq!(encode_outcome(&outcome), record);
+            assert_eq!(decode_outcome(record).as_ref(), Ok(&outcome));
+        }
     }
 
     #[test]
@@ -1191,23 +1372,30 @@ mod tests {
     fn historical_harvest_tokens_are_unchanged() {
         // The primitive wire tokens predate the policy engine; committed
         // manifests depend on these exact bytes.
-        let enc = |p: &PolicyExpr| {
-            let mut out = String::new();
-            encode_policy(p, &mut out);
-            out
+        let enc = |policy| {
+            encode_scenario(&Scenario::Harvest(HarvestScenario {
+                policy,
+                days: 1,
+                cloudiness: 0.0,
+                seed: 0,
+            }))
         };
-        assert_eq!(enc(&PolicyExpr::Fixed(0.3)), format!("fixed {}", bits(0.3)));
+        let rec = |policy: String| format!("harvest {policy} 1 0000000000000000 0");
         assert_eq!(
-            enc(&PolicyExpr::Greedy {
+            enc(PolicyExpr::Fixed(0.3)),
+            rec(format!("fixed {}", bits(0.3)))
+        );
+        assert_eq!(
+            enc(PolicyExpr::Greedy {
                 threshold: 0.3,
                 duty_high: 0.9,
                 duty_low: 0.05
             }),
-            format!("greedy {} {} {}", bits(0.3), bits(0.9), bits(0.05))
+            rec(format!("greedy {} {} {}", bits(0.3), bits(0.9), bits(0.05)))
         );
         assert_eq!(
-            enc(&PolicyExpr::EnergyNeutral { alpha: 0.01 }),
-            format!("neutral {}", bits(0.01))
+            enc(PolicyExpr::EnergyNeutral { alpha: 0.01 }),
+            rec(format!("neutral {}", bits(0.01)))
         );
     }
 
