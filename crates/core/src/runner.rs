@@ -30,6 +30,15 @@
 //! already-evaluated scenarios, and duplicates inside one batch are
 //! evaluated once.
 //!
+//! Each scenario and outcome type has exactly one field walk, replayed
+//! into two sinks: the FNV-1a hasher behind
+//! [`fingerprint`](Scenario::fingerprint) and
+//! [`digest`](ScenarioOutcome::digest), and the [`manifest`] wire
+//! encoder. The cache key, the golden digest and the shard record
+//! therefore always cover the same fields in the same order.
+//! [`label`](Scenario::label) stays separate on purpose: it is a lossy,
+//! human-readable projection, not an encoding.
+//!
 //! ## Sharding
 //!
 //! [`Runner::run`] is the consolidated entry point: it evaluates a batch
@@ -82,20 +91,56 @@ impl fmt::Display for Digest {
     }
 }
 
-/// FNV-1a accumulator over a canonical field encoding. Every value is
-/// framed (tag or length first) so distinct field sequences cannot
-/// collide by concatenation.
-#[derive(Debug, Clone)]
+/// Receives a field walk ([`Walk`]): the fingerprint/digest hasher
+/// ([`Canon`]) and the shard-wire encoder (`manifest::Wire`).
+trait Sink {
+    /// A variant discriminant: `code` is the hashed tag byte, `word` the
+    /// wire token.
+    fn tag(&mut self, code: u8, word: &'static str);
+    fn u64(&mut self, v: u64);
+    fn i64(&mut self, v: i64);
+    /// Floats enter by IEEE-754 bit pattern: byte-identical is the
+    /// conformance contract, not approximate equality.
+    fn f64(&mut self, v: f64);
+    fn bool(&mut self, v: bool);
+    fn str(&mut self, s: &str);
+    /// A wire-only keyword introducing an optional record suffix. The
+    /// hash skips it, so a suffix that is absent leaves the historical
+    /// fingerprint untouched.
+    fn keyword(&mut self, word: &'static str);
+
+    fn usize(&mut self, v: usize) {
+        self.u64(v as u64);
+    }
+}
+
+/// One field walk per type, replayed into every [`Sink`]. Every enum
+/// variant starts with a tag and every sequence with its length, so
+/// distinct field sequences cannot collide by concatenation.
+trait Walk {
+    fn walk<S: Sink>(&self, s: &mut S);
+}
+
+/// FNV-1a over the walk: a tag byte per discriminant, integers as 8
+/// little-endian bytes, strings length-first.
 struct Canon(u64);
 
 impl Canon {
-    fn new() -> Self {
-        Canon(0xcbf2_9ce4_8422_2325)
+    fn of(value: &impl Walk) -> u64 {
+        let mut c = Canon(0xcbf2_9ce4_8422_2325);
+        value.walk(&mut c);
+        c.0
     }
 
     fn byte(&mut self, b: u8) {
         self.0 ^= u64::from(b);
         self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+}
+
+impl Sink for Canon {
+    fn tag(&mut self, code: u8, _word: &'static str) {
+        self.byte(code);
     }
 
     fn u64(&mut self, v: u64) {
@@ -104,16 +149,10 @@ impl Canon {
         }
     }
 
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
     fn i64(&mut self, v: i64) {
         self.u64(v as u64);
     }
 
-    /// Floats hash by IEEE-754 bit pattern: byte-identical is the
-    /// conformance contract, not approximate equality.
     fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
@@ -129,100 +168,146 @@ impl Canon {
         }
     }
 
-    fn finish(&self) -> u64 {
-        self.0
+    fn keyword(&mut self, _word: &'static str) {}
+}
+
+impl Walk for AssayKind {
+    fn walk<S: Sink>(&self, s: &mut S) {
+        match *self {
+            AssayKind::Multiplex => s.tag(0, "multiplex"),
+            AssayKind::SerialDilution => s.tag(1, "dilution"),
+            AssayKind::Washing { wash_steps } => {
+                s.tag(2, "wash");
+                s.usize(wash_steps);
+            }
+            AssayKind::MixingTree { fanin } => {
+                s.tag(3, "mixtree");
+                s.usize(fanin);
+            }
+            AssayKind::DilutionGradient => s.tag(4, "gradient"),
+        }
     }
 }
 
-/// Canonical encoding of an [`AssayKind`] into a fingerprint: one tag
-/// byte per variant, then any shape knobs.
-fn canon_assay(c: &mut Canon, kind: AssayKind) {
-    match kind {
-        AssayKind::Multiplex => c.byte(0),
-        AssayKind::SerialDilution => c.byte(1),
-        AssayKind::Washing { wash_steps } => {
-            c.byte(2);
-            c.usize(wash_steps);
-        }
-        AssayKind::MixingTree { fanin } => {
-            c.byte(3);
-            c.usize(fanin);
-        }
-        AssayKind::DilutionGradient => c.byte(4),
-    }
-}
-
-/// Canonical encoding of a [`PolicyExpr`] into a fingerprint: one tag
-/// byte per variant, children recursively. The primitive tags (0–2) and
-/// payloads are byte-identical to the historical `DutyPolicy` encoding,
-/// so every pre-engine Harvest fingerprint is preserved.
-fn canon_policy(c: &mut Canon, p: &PolicyExpr) {
-    match p {
-        PolicyExpr::Fixed(d) => {
-            c.byte(0);
-            c.f64(*d);
-        }
-        PolicyExpr::Greedy {
-            threshold,
-            duty_high,
-            duty_low,
-        } => {
-            c.byte(1);
-            c.f64(*threshold);
-            c.f64(*duty_high);
-            c.f64(*duty_low);
-        }
-        PolicyExpr::EnergyNeutral { alpha } => {
-            c.byte(2);
-            c.f64(*alpha);
-        }
-        PolicyExpr::Forecast { alpha } => {
-            c.byte(3);
-            c.f64(*alpha);
-        }
-        PolicyExpr::Derate { inner, fade, floor } => {
-            c.byte(4);
-            c.f64(*fade);
-            c.f64(*floor);
-            canon_policy(c, inner);
-        }
-        PolicyExpr::Hysteresis { low, high, on, off } => {
-            c.byte(5);
-            c.f64(*low);
-            c.f64(*high);
-            canon_policy(c, on);
-            canon_policy(c, off);
-        }
-        PolicyExpr::Scheduled { pieces } => {
-            c.byte(6);
-            c.usize(pieces.len());
-            for (start, piece) in pieces {
-                c.u64(*start);
-                canon_policy(c, piece);
+/// The primitive tags (0–2, `fixed`/`greedy`/`neutral`) and payloads
+/// predate the policy engine and match the historical `DutyPolicy`
+/// encoding, so every pre-engine Harvest fingerprint and record is
+/// preserved. Combinators walk their scalars, then their children.
+impl Walk for PolicyExpr {
+    fn walk<S: Sink>(&self, s: &mut S) {
+        match self {
+            PolicyExpr::Fixed(d) => {
+                s.tag(0, "fixed");
+                s.f64(*d);
+            }
+            PolicyExpr::Greedy {
+                threshold,
+                duty_high,
+                duty_low,
+            } => {
+                s.tag(1, "greedy");
+                s.f64(*threshold);
+                s.f64(*duty_high);
+                s.f64(*duty_low);
+            }
+            PolicyExpr::EnergyNeutral { alpha } => {
+                s.tag(2, "neutral");
+                s.f64(*alpha);
+            }
+            PolicyExpr::Forecast { alpha } => {
+                s.tag(3, "forecast");
+                s.f64(*alpha);
+            }
+            PolicyExpr::Derate { inner, fade, floor } => {
+                s.tag(4, "derate");
+                s.f64(*fade);
+                s.f64(*floor);
+                inner.walk(s);
+            }
+            PolicyExpr::Hysteresis { low, high, on, off } => {
+                s.tag(5, "hyst");
+                s.f64(*low);
+                s.f64(*high);
+                on.walk(s);
+                off.walk(s);
+            }
+            PolicyExpr::Scheduled { pieces } => {
+                s.tag(6, "sched");
+                s.usize(pieces.len());
+                for (start, piece) in pieces {
+                    s.u64(*start);
+                    piece.walk(s);
+                }
+            }
+            PolicyExpr::Clamp { inner, lo, hi } => {
+                s.tag(7, "clamp");
+                s.f64(*lo);
+                s.f64(*hi);
+                inner.walk(s);
             }
         }
-        PolicyExpr::Clamp { inner, lo, hi } => {
-            c.byte(7);
-            c.f64(*lo);
-            c.f64(*hi);
-            canon_policy(c, inner);
+    }
+}
+
+impl Walk for PolicyAssignment {
+    fn walk<S: Sink>(&self, s: &mut S) {
+        match self {
+            PolicyAssignment::Uniform(p) => {
+                s.tag(1, "uniform");
+                p.walk(s);
+            }
+            PolicyAssignment::RoundRobin(ps) => {
+                s.tag(2, "mix");
+                s.usize(ps.len());
+                for p in ps {
+                    p.walk(s);
+                }
+            }
         }
     }
 }
 
-/// Canonical encoding of a [`PolicyAssignment`].
-fn canon_assignment(c: &mut Canon, a: &PolicyAssignment) {
-    match a {
-        PolicyAssignment::Uniform(p) => {
-            c.byte(1);
-            canon_policy(c, p);
-        }
-        PolicyAssignment::RoundRobin(ps) => {
-            c.byte(2);
-            c.usize(ps.len());
-            for p in ps {
-                canon_policy(c, p);
+impl Walk for Protocol {
+    fn walk<S: Sink>(&self, s: &mut S) {
+        match *self {
+            Protocol::Direct => s.tag(0, "direct"),
+            Protocol::Tree {
+                radio_range,
+                aggregate,
+            } => {
+                s.tag(1, "tree");
+                s.f64(radio_range);
+                s.bool(aggregate);
             }
+            Protocol::Cluster { p, aggregate } => {
+                s.tag(2, "cluster");
+                s.f64(p);
+                s.bool(aggregate);
+            }
+        }
+    }
+}
+
+impl Walk for GrnModel {
+    fn walk<S: Sink>(&self, s: &mut S) {
+        match *self {
+            GrnModel::THelper => s.tag(0, "thelper"),
+            GrnModel::Arabidopsis { whorl } => {
+                s.tag(1, "arabidopsis");
+                s.usize(whorl);
+            }
+        }
+    }
+}
+
+impl Walk for CommGraph {
+    fn walk<S: Sink>(&self, s: &mut S) {
+        s.usize(self.cores());
+        s.usize(self.flows().len());
+        for f in self.flows() {
+            s.usize(f.src);
+            s.usize(f.dst);
+            s.f64(f.rate);
         }
     }
 }
@@ -358,94 +443,10 @@ impl Scenario {
         }
     }
 
-    /// Stable cache key: FNV-1a over a canonical encoding of every
-    /// parameter (tag first, floats by bit pattern).
+    /// Stable cache key: FNV-1a over the field walk (tag first, floats
+    /// by bit pattern). Also the round-robin [`ShardPlan`] deal order.
     pub fn fingerprint(&self) -> u64 {
-        let mut c = Canon::new();
-        match self {
-            Scenario::FluidicsCompile(s) => {
-                c.byte(1);
-                canon_assay(&mut c, s.assay);
-                c.usize(s.plex);
-                c.i64(i64::from(s.grid_side));
-                c.f64(s.dead_fraction);
-                c.u64(s.fault_seed);
-            }
-            Scenario::LabChip(s) => {
-                c.byte(2);
-                canon_assay(&mut c, s.assay);
-                c.u64(s.seed);
-                c.usize(s.samples_per_run);
-                c.f64(s.dead_fraction);
-                c.u64(s.fault_seed);
-            }
-            Scenario::NocPoint(s) => {
-                c.byte(3);
-                c.usize(s.app.cores());
-                c.usize(s.app.flows().len());
-                for f in s.app.flows() {
-                    c.usize(f.src);
-                    c.usize(f.dst);
-                    c.f64(f.rate);
-                }
-                c.usize(s.max_cluster);
-                c.usize(s.shortcuts);
-            }
-            Scenario::WsnLifetime(s) => {
-                c.byte(4);
-                c.usize(s.nodes);
-                c.f64(s.side);
-                match s.protocol {
-                    Protocol::Direct => c.byte(0),
-                    Protocol::Tree {
-                        radio_range,
-                        aggregate,
-                    } => {
-                        c.byte(1);
-                        c.f64(radio_range);
-                        c.bool(aggregate);
-                    }
-                    Protocol::Cluster { p, aggregate } => {
-                        c.byte(2);
-                        c.f64(p);
-                        c.bool(aggregate);
-                    }
-                }
-                c.f64(s.failure_rate);
-                c.u64(s.max_rounds);
-                c.u64(s.seed);
-                // Appended only when present: `None` keeps the exact
-                // historical encoding (and therefore fingerprint).
-                if let Some(assignment) = &s.policies {
-                    canon_assignment(&mut c, assignment);
-                }
-            }
-            Scenario::Harvest(s) => {
-                c.byte(5);
-                canon_policy(&mut c, &s.policy);
-                c.u64(u64::from(s.days));
-                c.f64(s.cloudiness);
-                c.u64(s.seed);
-            }
-            Scenario::Knockout(s) => {
-                c.byte(6);
-                match s.model {
-                    GrnModel::THelper => c.byte(0),
-                    GrnModel::Arabidopsis { whorl } => {
-                        c.byte(1);
-                        c.usize(whorl);
-                    }
-                }
-                match &s.knockout {
-                    None => c.byte(0),
-                    Some(g) => {
-                        c.byte(1);
-                        c.str(g);
-                    }
-                }
-            }
-        }
-        c.finish()
+        Canon::of(self)
     }
 
     /// Human-readable corpus label (unique per distinct scenario in the
@@ -814,7 +815,74 @@ impl ScenarioOutcome {
     /// comparison. Floats enter by IEEE bit pattern, so equal digests
     /// mean byte-identical results.
     pub fn digest(&self) -> Digest {
-        let mut c = Canon::new();
+        Digest(Canon::of(self))
+    }
+}
+
+impl Walk for Scenario {
+    fn walk<S: Sink>(&self, s: &mut S) {
+        match self {
+            Scenario::FluidicsCompile(f) => {
+                s.tag(1, "fluidics");
+                f.assay.walk(s);
+                s.usize(f.plex);
+                s.i64(i64::from(f.grid_side));
+                s.f64(f.dead_fraction);
+                s.u64(f.fault_seed);
+            }
+            Scenario::LabChip(l) => {
+                s.tag(2, "labchip");
+                l.assay.walk(s);
+                s.u64(l.seed);
+                s.usize(l.samples_per_run);
+                s.f64(l.dead_fraction);
+                s.u64(l.fault_seed);
+            }
+            Scenario::NocPoint(n) => {
+                s.tag(3, "noc");
+                n.app.walk(s);
+                s.usize(n.max_cluster);
+                s.usize(n.shortcuts);
+            }
+            Scenario::WsnLifetime(w) => {
+                s.tag(4, "wsn");
+                s.usize(w.nodes);
+                s.f64(w.side);
+                w.protocol.walk(s);
+                s.f64(w.failure_rate);
+                s.u64(w.max_rounds);
+                s.u64(w.seed);
+                // Appended only when present: `None` keeps the exact
+                // historical fingerprint and record bytes.
+                if let Some(assignment) = &w.policies {
+                    s.keyword("policies");
+                    assignment.walk(s);
+                }
+            }
+            Scenario::Harvest(h) => {
+                s.tag(5, "harvest");
+                h.policy.walk(s);
+                s.u64(u64::from(h.days));
+                s.f64(h.cloudiness);
+                s.u64(h.seed);
+            }
+            Scenario::Knockout(k) => {
+                s.tag(6, "grn");
+                k.model.walk(s);
+                match &k.knockout {
+                    None => s.tag(0, "wild"),
+                    Some(gene) => {
+                        s.tag(1, "ko");
+                        s.str(gene);
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl Walk for ScenarioOutcome {
+    fn walk<S: Sink>(&self, s: &mut S) {
         match self {
             ScenarioOutcome::Fluidics {
                 compiled,
@@ -825,14 +893,14 @@ impl ScenarioOutcome {
                 reroutes,
                 abandoned,
             } => {
-                c.byte(1);
-                c.bool(*compiled);
-                c.u64(u64::from(*makespan));
-                c.u64(u64::from(*moves));
-                c.u64(u64::from(*stalls));
-                c.u64(*energy);
-                c.u64(u64::from(*reroutes));
-                c.u64(u64::from(*abandoned));
+                s.tag(1, "fluidics");
+                s.bool(*compiled);
+                s.u64(u64::from(*makespan));
+                s.u64(u64::from(*moves));
+                s.u64(u64::from(*stalls));
+                s.u64(*energy);
+                s.u64(u64::from(*reroutes));
+                s.u64(u64::from(*abandoned));
             }
             ScenarioOutcome::LabChip {
                 ok,
@@ -844,15 +912,15 @@ impl ScenarioOutcome {
                 relevance,
                 samples_dropped,
             } => {
-                c.byte(2);
-                c.bool(*ok);
-                c.u64(u64::from(*makespan));
-                c.u64(*energy);
-                c.f64(*sensing_error);
-                c.usize(*biclusters);
-                c.f64(*recovery);
-                c.f64(*relevance);
-                c.usize(*samples_dropped);
+                s.tag(2, "labchip");
+                s.bool(*ok);
+                s.u64(u64::from(*makespan));
+                s.u64(*energy);
+                s.f64(*sensing_error);
+                s.usize(*biclusters);
+                s.f64(*recovery);
+                s.f64(*relevance);
+                s.usize(*samples_dropped);
             }
             ScenarioOutcome::Noc {
                 feasible,
@@ -861,12 +929,12 @@ impl ScenarioOutcome {
                 area,
                 deadlock_free,
             } => {
-                c.byte(3);
-                c.bool(*feasible);
-                c.f64(*weighted_hops);
-                c.f64(*energy);
-                c.f64(*area);
-                c.bool(*deadlock_free);
+                s.tag(3, "noc");
+                s.bool(*feasible);
+                s.f64(*weighted_hops);
+                s.f64(*energy);
+                s.f64(*area);
+                s.bool(*deadlock_free);
             }
             ScenarioOutcome::Wsn {
                 first_death,
@@ -877,14 +945,14 @@ impl ScenarioOutcome {
                 avg_coverage,
                 energy_spent,
             } => {
-                c.byte(4);
-                c.u64(*first_death);
-                c.u64(*half_death);
-                c.u64(*rounds);
-                c.u64(*sensed);
-                c.u64(*delivered);
-                c.f64(*avg_coverage);
-                c.f64(*energy_spent);
+                s.tag(4, "wsn");
+                s.u64(*first_death);
+                s.u64(*half_death);
+                s.u64(*rounds);
+                s.u64(*sensed);
+                s.u64(*delivered);
+                s.f64(*avg_coverage);
+                s.f64(*energy_spent);
             }
             ScenarioOutcome::Harvest {
                 work,
@@ -894,27 +962,26 @@ impl ScenarioOutcome {
                 harvested,
                 final_battery,
             } => {
-                c.byte(5);
-                c.f64(*work);
-                c.u64(*dead_slots);
-                c.u64(*total_slots);
-                c.f64(*wasted);
-                c.f64(*harvested);
-                c.f64(*final_battery);
+                s.tag(5, "harvest");
+                s.f64(*work);
+                s.u64(*dead_slots);
+                s.u64(*total_slots);
+                s.f64(*wasted);
+                s.f64(*harvested);
+                s.f64(*final_battery);
             }
             ScenarioOutcome::Knockout {
                 fixed_points,
                 annotation,
             } => {
-                c.byte(6);
-                c.usize(fixed_points.len());
+                s.tag(6, "grn");
+                s.usize(fixed_points.len());
                 for &b in fixed_points {
-                    c.u64(b);
+                    s.u64(b);
                 }
-                c.str(annotation);
+                s.str(annotation);
             }
         }
-        Digest(c.finish())
     }
 }
 

@@ -1,32 +1,40 @@
 //! Line-oriented wire format for sharded sweeps.
 //!
-//! A parent process hands each shard worker a **manifest** — one line per
-//! scenario, carrying the scenario's *global submission index* and a full
-//! self-describing encoding of its parameters — and reads back an
-//! **outcome file** with the shard's [`BatchStats`] header and one
-//! outcome line per manifest entry. Both formats are plain UTF-8 text,
-//! one record per line, space-separated tokens:
+//! A parent process hands each shard worker a **manifest** — a header,
+//! a `#shard <id>` line, then one `<index> <record>` line per scenario,
+//! keyed by its *global submission index* — and reads back an **outcome
+//! file** with the same framing, the shard's [`BatchStats`] on
+//! `#stats`/`#worker` lines, and one `<index> <record>` line per entry.
+//! Both are plain UTF-8, one record per line, space-separated tokens:
 //!
-//! * floats travel as the 16-hex-digit IEEE-754 bit pattern
-//!   (`f64::to_bits`), so round-trips are exact — including NaN payloads
-//!   — and digests are preserved bit for bit;
+//! * a record is its family word (`fluidics`, `labchip`, `noc`, `wsn`,
+//!   `harvest`, `grn`), then every field in fingerprint (scenarios) or
+//!   digest (outcomes) order — the encoder replays the field walk of
+//!   [`Scenario::fingerprint`] and [`ScenarioOutcome::digest`];
+//! * floats travel as the 16-hex-digit IEEE-754 bit pattern, so
+//!   round-trips are exact, NaN payloads included;
 //! * strings travel hex-encoded with an `x` prefix (`x` alone is the
 //!   empty string), so embedded whitespace cannot break tokenization;
-//! * every record starts with a family tag (`fluidics`, `labchip`,
-//!   `noc`, `wsn`, `harvest`, `grn`), making the format self-describing
-//!   and versioned by its header line.
+//! * flags travel as `0`/`1`; a WSN record's optional policy assignment
+//!   follows a `policies` keyword.
 //!
-//! The conformance contract is digest preservation: for any scenario,
-//! `decode(encode(s))` fingerprints identically to `s`, and for any
-//! outcome, `decode(encode(o)).digest() == o.digest()`.
+//! The headers carry the version (`v2`), so a worker built for another
+//! field order fails at the header instead of misreading fields.
 //!
-//! Parsing is **total**: truncated, mutated or adversarial input returns
-//! an error, never panics — `tests/manifest_fuzz.rs` mutates valid wire
-//! bytes at random to enforce this. For stream transports, manifests can
-//! additionally travel inside length-prefixed [`write_frame`] /
+//! Re-encoding a decoded record is the identity for every record the
+//! encoder wrote, with fingerprints and digests preserved. The decoder
+//! is more lenient (`+5`, uppercase hex and short float hex all parse),
+//! so the identity does not hold for every accepted input.
+//!
+//! Decoding is hand-written and **total**: truncated, mutated or
+//! adversarial input returns an error, never panics. It caps policy
+//! nesting and pre-allocation and validates NoC flows and policies.
+//! `tests/manifest_fuzz.rs` enforces this with random mutations and
+//! round-trips random records of every family. For stream transports,
+//! manifests can also travel inside length-prefixed [`write_frame`] /
 //! [`read_frame`] frames.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{self, Read, Write};
 
 use mns_noc::graph::{CommGraph, Flow};
@@ -35,14 +43,14 @@ use mns_wsn::protocol::Protocol;
 
 use super::{
     AssayKind, BatchStats, FluidicsScenario, GrnModel, HarvestScenario, KnockoutScenario,
-    LabChipScenario, NocScenario, Scenario, ScenarioOutcome, ShardId, WorkerBatchStats,
+    LabChipScenario, NocScenario, Scenario, ScenarioOutcome, ShardId, Sink, Walk, WorkerBatchStats,
     WsnScenario,
 };
 
 /// First line of every shard manifest.
-pub const MANIFEST_HEADER: &str = "# mns shard manifest v1";
+pub const MANIFEST_HEADER: &str = "# mns shard manifest v2";
 /// First line of every shard outcome file.
-pub const OUTCOMES_HEADER: &str = "# mns shard outcomes v1";
+pub const OUTCOMES_HEADER: &str = "# mns shard outcomes v2";
 
 /// A parse failure, with the 1-based line number it occurred on.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,24 +94,11 @@ impl<'a> Tokens<'a> {
             .ok_or_else(|| "unexpected end of record".to_owned())
     }
 
-    fn u64(&mut self) -> Result<u64, String> {
+    /// A decimal integer of the primitive type `T` (`u64`, `usize`, …).
+    fn int<T: std::str::FromStr>(&mut self) -> Result<T, String> {
         let t = self.next()?;
-        t.parse().map_err(|_| format!("bad u64 `{t}`"))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        let t = self.next()?;
-        t.parse().map_err(|_| format!("bad u32 `{t}`"))
-    }
-
-    fn usize(&mut self) -> Result<usize, String> {
-        let t = self.next()?;
-        t.parse().map_err(|_| format!("bad usize `{t}`"))
-    }
-
-    fn i32(&mut self) -> Result<i32, String> {
-        let t = self.next()?;
-        t.parse().map_err(|_| format!("bad i32 `{t}`"))
+        t.parse()
+            .map_err(|_| format!("bad {} `{t}`", std::any::type_name::<T>()))
     }
 
     /// Floats travel as 16 hex digits of their IEEE-754 bit pattern.
@@ -173,105 +168,77 @@ fn hex_digit(b: u8) -> Option<u8> {
 /// vector ever needs to grow past its real size.
 const DECODE_CAPACITY_CAP: usize = 4096;
 
-fn bits(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
+/// The wire [`Sink`]: space-separated tokens — variant words, decimal
+/// integers, floats as 16 hex digits of their bit pattern, strings as
+/// `x`-prefixed hex, flags as `0`/`1`.
+struct Wire(String);
 
-fn hex_str(s: &str) -> String {
-    let mut out = String::with_capacity(1 + 2 * s.len());
-    out.push('x');
-    for b in s.bytes() {
-        out.push_str(&format!("{b:02x}"));
+impl Wire {
+    fn encode(value: &impl Walk) -> String {
+        let mut w = Wire(String::new());
+        value.walk(&mut w);
+        w.0
     }
-    out
-}
 
-fn flag(v: bool) -> &'static str {
-    if v {
-        "1"
-    } else {
-        "0"
-    }
-}
-
-/// Encodes an [`AssayKind`]: a kind token, then any shape knobs.
-fn encode_assay_kind(kind: AssayKind) -> String {
-    match kind {
-        AssayKind::Multiplex => "multiplex".to_owned(),
-        AssayKind::SerialDilution => "dilution".to_owned(),
-        AssayKind::Washing { wash_steps } => format!("wash {wash_steps}"),
-        AssayKind::MixingTree { fanin } => format!("mixtree {fanin}"),
-        AssayKind::DilutionGradient => "gradient".to_owned(),
+    /// The buffer, ready for the next token: a separator is pushed
+    /// unless the record is still empty.
+    fn token(&mut self) -> &mut String {
+        if !self.0.is_empty() {
+            self.0.push(' ');
+        }
+        &mut self.0
     }
 }
 
-/// Decodes the [`AssayKind`] token(s) written by [`encode_assay_kind`].
+impl Sink for Wire {
+    fn tag(&mut self, _code: u8, word: &'static str) {
+        self.token().push_str(word);
+    }
+
+    fn u64(&mut self, v: u64) {
+        let _ = write!(self.token(), "{v}");
+    }
+
+    fn i64(&mut self, v: i64) {
+        let _ = write!(self.token(), "{v}");
+    }
+
+    fn f64(&mut self, v: f64) {
+        let _ = write!(self.token(), "{:016x}", v.to_bits());
+    }
+
+    fn bool(&mut self, v: bool) {
+        self.token().push(if v { '1' } else { '0' });
+    }
+
+    fn str(&mut self, s: &str) {
+        let out = self.token();
+        out.push('x');
+        for b in s.bytes() {
+            let _ = write!(out, "{b:02x}");
+        }
+    }
+
+    fn keyword(&mut self, word: &'static str) {
+        self.token().push_str(word);
+    }
+}
+
+/// Decodes the [`AssayKind`] token(s) of the assay walk.
 fn decode_assay_kind(t: &mut Tokens) -> Result<AssayKind, String> {
     match t.next()? {
         "multiplex" => Ok(AssayKind::Multiplex),
         "dilution" => Ok(AssayKind::SerialDilution),
         "wash" => Ok(AssayKind::Washing {
-            wash_steps: t.usize()?,
+            wash_steps: t.int()?,
         }),
-        "mixtree" => Ok(AssayKind::MixingTree { fanin: t.usize()? }),
+        "mixtree" => Ok(AssayKind::MixingTree { fanin: t.int()? }),
         "gradient" => Ok(AssayKind::DilutionGradient),
         k => Err(format!("unknown assay kind `{k}`")),
     }
 }
 
-/// Encodes a [`PolicyExpr`] as prefix-notation tokens. The primitive
-/// tokens (`fixed`, `greedy`, `neutral`) and their payload layout are
-/// byte-identical to the historical `DutyPolicy` encoding, so every
-/// pre-engine harvest record is reproduced exactly; combinators nest
-/// recursively after their scalar parameters.
-fn encode_policy(p: &PolicyExpr, out: &mut String) {
-    match p {
-        PolicyExpr::Fixed(d) => {
-            out.push_str(&format!("fixed {}", bits(*d)));
-        }
-        PolicyExpr::Greedy {
-            threshold,
-            duty_high,
-            duty_low,
-        } => {
-            out.push_str(&format!(
-                "greedy {} {} {}",
-                bits(*threshold),
-                bits(*duty_high),
-                bits(*duty_low)
-            ));
-        }
-        PolicyExpr::EnergyNeutral { alpha } => {
-            out.push_str(&format!("neutral {}", bits(*alpha)));
-        }
-        PolicyExpr::Forecast { alpha } => {
-            out.push_str(&format!("forecast {}", bits(*alpha)));
-        }
-        PolicyExpr::Derate { inner, fade, floor } => {
-            out.push_str(&format!("derate {} {} ", bits(*fade), bits(*floor)));
-            encode_policy(inner, out);
-        }
-        PolicyExpr::Hysteresis { low, high, on, off } => {
-            out.push_str(&format!("hyst {} {} ", bits(*low), bits(*high)));
-            encode_policy(on, out);
-            out.push(' ');
-            encode_policy(off, out);
-        }
-        PolicyExpr::Scheduled { pieces } => {
-            out.push_str(&format!("sched {}", pieces.len()));
-            for (start, piece) in pieces {
-                out.push_str(&format!(" {start} "));
-                encode_policy(piece, out);
-            }
-        }
-        PolicyExpr::Clamp { inner, lo, hi } => {
-            out.push_str(&format!("clamp {} {} ", bits(*lo), bits(*hi)));
-            encode_policy(inner, out);
-        }
-    }
-}
-
-/// Decodes the policy tokens written by [`encode_policy`]. Recursion
+/// Decodes the prefix-notation tokens of the policy walk. Recursion
 /// depth is bounded *during* parsing — before any validation pass —
 /// so an adversarial record cannot overflow the stack, and the decoded
 /// expression is re-validated by the caller at the record boundary.
@@ -305,10 +272,10 @@ fn decode_policy(t: &mut Tokens, depth: usize) -> Result<PolicyExpr, String> {
             Ok(PolicyExpr::Hysteresis { low, high, on, off })
         }
         "sched" => {
-            let n = t.usize()?;
+            let n: usize = t.int()?;
             let mut pieces = Vec::with_capacity(n.min(DECODE_CAPACITY_CAP));
             for _ in 0..n {
-                let start = t.u64()?;
+                let start = t.int()?;
                 pieces.push((start, decode_policy(t, depth + 1)?));
             }
             Ok(PolicyExpr::Scheduled { pieces })
@@ -326,30 +293,12 @@ fn decode_policy(t: &mut Tokens, depth: usize) -> Result<PolicyExpr, String> {
     }
 }
 
-/// Encodes a [`PolicyAssignment`] suffix: `uniform <policy>` or
-/// `mix <n> <policy>*`.
-fn encode_assignment(a: &PolicyAssignment, out: &mut String) {
-    match a {
-        PolicyAssignment::Uniform(p) => {
-            out.push_str("uniform ");
-            encode_policy(p, out);
-        }
-        PolicyAssignment::RoundRobin(ps) => {
-            out.push_str(&format!("mix {}", ps.len()));
-            for p in ps {
-                out.push(' ');
-                encode_policy(p, out);
-            }
-        }
-    }
-}
-
-/// Decodes the assignment tokens written by [`encode_assignment`].
+/// Decodes the `uniform <policy>` / `mix <n> <policy>*` suffix.
 fn decode_assignment(t: &mut Tokens) -> Result<PolicyAssignment, String> {
     let assignment = match t.next()? {
         "uniform" => PolicyAssignment::Uniform(decode_policy(t, 0)?),
         "mix" => {
-            let n = t.usize()?;
+            let n: usize = t.int()?;
             let mut ps = Vec::with_capacity(n.min(DECODE_CAPACITY_CAP));
             for _ in 0..n {
                 ps.push(decode_policy(t, 0)?);
@@ -364,87 +313,10 @@ fn decode_assignment(t: &mut Tokens) -> Result<PolicyAssignment, String> {
     Ok(assignment)
 }
 
-/// Encodes one scenario as a single self-describing record (no newline).
+/// Encodes one scenario as a single self-describing record (no newline):
+/// the family word, then every field in fingerprint order.
 pub fn encode_scenario(scenario: &Scenario) -> String {
-    match scenario {
-        Scenario::FluidicsCompile(s) => format!(
-            "fluidics {} {} {} {} {}",
-            encode_assay_kind(s.assay),
-            s.plex,
-            s.grid_side,
-            bits(s.dead_fraction),
-            s.fault_seed
-        ),
-        Scenario::LabChip(s) => format!(
-            "labchip {} {} {} {} {}",
-            encode_assay_kind(s.assay),
-            s.seed,
-            s.samples_per_run,
-            bits(s.dead_fraction),
-            s.fault_seed
-        ),
-        Scenario::NocPoint(s) => {
-            let mut out = format!(
-                "noc {} {} {} {}",
-                s.max_cluster,
-                s.shortcuts,
-                s.app.cores(),
-                s.app.flows().len()
-            );
-            for f in s.app.flows() {
-                out.push_str(&format!(" {} {} {}", f.src, f.dst, bits(f.rate)));
-            }
-            out
-        }
-        Scenario::WsnLifetime(s) => {
-            let protocol = match s.protocol {
-                Protocol::Direct => "direct".to_owned(),
-                Protocol::Tree {
-                    radio_range,
-                    aggregate,
-                } => format!("tree {} {}", bits(radio_range), flag(aggregate)),
-                Protocol::Cluster { p, aggregate } => {
-                    format!("cluster {} {}", bits(p), flag(aggregate))
-                }
-            };
-            let mut out = format!(
-                "wsn {} {} {protocol} {} {} {}",
-                s.nodes,
-                bits(s.side),
-                bits(s.failure_rate),
-                s.max_rounds,
-                s.seed
-            );
-            // Optional suffix: `None` reproduces the historical record
-            // bytes exactly, keeping committed manifests valid.
-            if let Some(assignment) = &s.policies {
-                out.push_str(" policies ");
-                encode_assignment(assignment, &mut out);
-            }
-            out
-        }
-        Scenario::Harvest(s) => {
-            let mut policy = String::new();
-            encode_policy(&s.policy, &mut policy);
-            format!(
-                "harvest {policy} {} {} {}",
-                s.days,
-                bits(s.cloudiness),
-                s.seed
-            )
-        }
-        Scenario::Knockout(s) => {
-            let model = match s.model {
-                GrnModel::THelper => "thelper".to_owned(),
-                GrnModel::Arabidopsis { whorl } => format!("arabidopsis {whorl}"),
-            };
-            let knockout = match &s.knockout {
-                None => "wild".to_owned(),
-                Some(gene) => format!("ko {}", hex_str(gene)),
-            };
-            format!("grn {model} {knockout}")
-        }
-    }
+    Wire::encode(scenario)
 }
 
 /// Decodes one scenario record produced by [`encode_scenario`].
@@ -453,26 +325,24 @@ pub fn decode_scenario(record: &str) -> Result<Scenario, String> {
     let scenario = match t.next()? {
         "fluidics" => Scenario::FluidicsCompile(FluidicsScenario {
             assay: decode_assay_kind(&mut t)?,
-            plex: t.usize()?,
-            grid_side: t.i32()?,
+            plex: t.int()?,
+            grid_side: t.int()?,
             dead_fraction: t.f64()?,
-            fault_seed: t.u64()?,
+            fault_seed: t.int()?,
         }),
         "labchip" => Scenario::LabChip(LabChipScenario {
             assay: decode_assay_kind(&mut t)?,
-            seed: t.u64()?,
-            samples_per_run: t.usize()?,
+            seed: t.int()?,
+            samples_per_run: t.int()?,
             dead_fraction: t.f64()?,
-            fault_seed: t.u64()?,
+            fault_seed: t.int()?,
         }),
         "noc" => {
-            let max_cluster = t.usize()?;
-            let shortcuts = t.usize()?;
-            let cores = t.usize()?;
-            let nflows = t.usize()?;
+            let cores = t.int()?;
+            let nflows: usize = t.int()?;
             let mut flows = Vec::with_capacity(nflows.min(DECODE_CAPACITY_CAP));
             for _ in 0..nflows {
-                let (src, dst, rate) = (t.usize()?, t.usize()?, t.f64()?);
+                let (src, dst, rate) = (t.int()?, t.int()?, t.f64()?);
                 // `CommGraph::new` asserts these invariants; a corrupted
                 // record must come back as an error, not a panic.
                 if src >= cores || dst >= cores {
@@ -484,18 +354,18 @@ pub fn decode_scenario(record: &str) -> Result<Scenario, String> {
                     return Err(format!("self-loop flow at core {src}"));
                 }
                 if rate.is_nan() || rate <= 0.0 {
-                    return Err(format!("non-positive flow rate `{}`", bits(rate)));
+                    return Err(format!("non-positive flow rate `{:016x}`", rate.to_bits()));
                 }
                 flows.push(Flow { src, dst, rate });
             }
             Scenario::NocPoint(NocScenario {
                 app: CommGraph::new(cores, flows),
-                max_cluster,
-                shortcuts,
+                max_cluster: t.int()?,
+                shortcuts: t.int()?,
             })
         }
         "wsn" => {
-            let nodes = t.usize()?;
+            let nodes = t.int()?;
             let side = t.f64()?;
             let protocol = match t.next()? {
                 "direct" => Protocol::Direct,
@@ -510,8 +380,8 @@ pub fn decode_scenario(record: &str) -> Result<Scenario, String> {
                 p => return Err(format!("unknown wsn protocol `{p}`")),
             };
             let failure_rate = t.f64()?;
-            let max_rounds = t.u64()?;
-            let seed = t.u64()?;
+            let max_rounds = t.int()?;
+            let seed = t.int()?;
             let policies = match t.opt_next() {
                 None => None,
                 Some("policies") => Some(decode_assignment(&mut t)?),
@@ -534,15 +404,15 @@ pub fn decode_scenario(record: &str) -> Result<Scenario, String> {
                 .map_err(|e| format!("invalid harvest policy: {e}"))?;
             Scenario::Harvest(HarvestScenario {
                 policy,
-                days: t.u32()?,
+                days: t.int()?,
                 cloudiness: t.f64()?,
-                seed: t.u64()?,
+                seed: t.int()?,
             })
         }
         "grn" => {
             let model = match t.next()? {
                 "thelper" => GrnModel::THelper,
-                "arabidopsis" => GrnModel::Arabidopsis { whorl: t.usize()? },
+                "arabidopsis" => GrnModel::Arabidopsis { whorl: t.int()? },
                 m => return Err(format!("unknown grn model `{m}`")),
             };
             let knockout = match t.next()? {
@@ -558,91 +428,10 @@ pub fn decode_scenario(record: &str) -> Result<Scenario, String> {
     Ok(scenario)
 }
 
-/// Encodes one outcome as a single self-describing record (no newline).
+/// Encodes one outcome as a single self-describing record (no newline):
+/// the family word, then every field in digest order.
 pub fn encode_outcome(outcome: &ScenarioOutcome) -> String {
-    match outcome {
-        ScenarioOutcome::Fluidics {
-            compiled,
-            makespan,
-            moves,
-            stalls,
-            energy,
-            reroutes,
-            abandoned,
-        } => format!(
-            "fluidics {} {makespan} {moves} {stalls} {energy} {reroutes} {abandoned}",
-            flag(*compiled)
-        ),
-        ScenarioOutcome::LabChip {
-            ok,
-            makespan,
-            energy,
-            sensing_error,
-            biclusters,
-            recovery,
-            relevance,
-            samples_dropped,
-        } => format!(
-            "labchip {} {makespan} {energy} {} {biclusters} {} {} {samples_dropped}",
-            flag(*ok),
-            bits(*sensing_error),
-            bits(*recovery),
-            bits(*relevance)
-        ),
-        ScenarioOutcome::Noc {
-            feasible,
-            weighted_hops,
-            energy,
-            area,
-            deadlock_free,
-        } => format!(
-            "noc {} {} {} {} {}",
-            flag(*feasible),
-            bits(*weighted_hops),
-            bits(*energy),
-            bits(*area),
-            flag(*deadlock_free)
-        ),
-        ScenarioOutcome::Wsn {
-            first_death,
-            half_death,
-            rounds,
-            sensed,
-            delivered,
-            avg_coverage,
-            energy_spent,
-        } => format!(
-            "wsn {first_death} {half_death} {rounds} {sensed} {delivered} {} {}",
-            bits(*avg_coverage),
-            bits(*energy_spent)
-        ),
-        ScenarioOutcome::Harvest {
-            work,
-            dead_slots,
-            total_slots,
-            wasted,
-            harvested,
-            final_battery,
-        } => format!(
-            "harvest {} {dead_slots} {total_slots} {} {} {}",
-            bits(*work),
-            bits(*wasted),
-            bits(*harvested),
-            bits(*final_battery)
-        ),
-        ScenarioOutcome::Knockout {
-            fixed_points,
-            annotation,
-        } => {
-            let mut out = format!("grn {}", fixed_points.len());
-            for fp in fixed_points {
-                out.push_str(&format!(" {fp}"));
-            }
-            out.push(' ');
-            out.push_str(&hex_str(annotation));
-            out
-        }
-    }
+    Wire::encode(outcome)
 }
 
 /// Decodes one outcome record produced by [`encode_outcome`].
@@ -651,22 +440,22 @@ pub fn decode_outcome(record: &str) -> Result<ScenarioOutcome, String> {
     let outcome = match t.next()? {
         "fluidics" => ScenarioOutcome::Fluidics {
             compiled: t.bool()?,
-            makespan: t.u32()?,
-            moves: t.u32()?,
-            stalls: t.u32()?,
-            energy: t.u64()?,
-            reroutes: t.u32()?,
-            abandoned: t.u32()?,
+            makespan: t.int()?,
+            moves: t.int()?,
+            stalls: t.int()?,
+            energy: t.int()?,
+            reroutes: t.int()?,
+            abandoned: t.int()?,
         },
         "labchip" => ScenarioOutcome::LabChip {
             ok: t.bool()?,
-            makespan: t.u32()?,
-            energy: t.u64()?,
+            makespan: t.int()?,
+            energy: t.int()?,
             sensing_error: t.f64()?,
-            biclusters: t.usize()?,
+            biclusters: t.int()?,
             recovery: t.f64()?,
             relevance: t.f64()?,
-            samples_dropped: t.usize()?,
+            samples_dropped: t.int()?,
         },
         "noc" => ScenarioOutcome::Noc {
             feasible: t.bool()?,
@@ -676,27 +465,27 @@ pub fn decode_outcome(record: &str) -> Result<ScenarioOutcome, String> {
             deadlock_free: t.bool()?,
         },
         "wsn" => ScenarioOutcome::Wsn {
-            first_death: t.u64()?,
-            half_death: t.u64()?,
-            rounds: t.u64()?,
-            sensed: t.u64()?,
-            delivered: t.u64()?,
+            first_death: t.int()?,
+            half_death: t.int()?,
+            rounds: t.int()?,
+            sensed: t.int()?,
+            delivered: t.int()?,
             avg_coverage: t.f64()?,
             energy_spent: t.f64()?,
         },
         "harvest" => ScenarioOutcome::Harvest {
             work: t.f64()?,
-            dead_slots: t.u64()?,
-            total_slots: t.u64()?,
+            dead_slots: t.int()?,
+            total_slots: t.int()?,
             wasted: t.f64()?,
             harvested: t.f64()?,
             final_battery: t.f64()?,
         },
         "grn" => {
-            let n = t.usize()?;
+            let n: usize = t.int()?;
             let mut fixed_points = Vec::with_capacity(n.min(DECODE_CAPACITY_CAP));
             for _ in 0..n {
-                fixed_points.push(t.u64()?);
+                fixed_points.push(t.int()?);
             }
             ScenarioOutcome::Knockout {
                 fixed_points,
@@ -721,10 +510,38 @@ pub fn write_manifest(shard: ShardId, entries: &[(usize, &Scenario)]) -> String 
 
 /// Parses a shard manifest back into `(shard, [(global index, scenario)])`.
 pub fn parse_manifest(text: &str) -> Result<(ShardId, Vec<(usize, Scenario)>), ManifestError> {
+    let (shard, entries) = parse_file(
+        text,
+        MANIFEST_HEADER,
+        "manifest",
+        |_| Ok(()),
+        decode_scenario,
+    )?;
+    let shard = shard.ok_or_else(|| err(0, "missing #shard line"))?;
+    Ok((shard, entries))
+}
+
+/// `(global index, record)` pairs in file order.
+type Entries<T> = Vec<(usize, T)>;
+
+/// The line loop both file formats share: the header check, the
+/// `#shard` line, `<index> <record>` entries decoded by `decode`, and
+/// blank lines skipped. Every other `#` line goes to `meta`, which may
+/// reject it or ignore it as a future extension. Errors carry 1-based
+/// line numbers.
+fn parse_file<T>(
+    text: &str,
+    header: &str,
+    what: &str,
+    mut meta: impl FnMut(&str) -> Result<(), String>,
+    decode: impl Fn(&str) -> Result<T, String>,
+) -> Result<(Option<ShardId>, Entries<T>), ManifestError> {
     let mut lines = text.lines().enumerate();
-    let (_, header) = lines.next().ok_or_else(|| err(0, "empty manifest"))?;
-    if header != MANIFEST_HEADER {
-        return Err(err(1, format!("bad header `{header}`")));
+    let (_, first) = lines
+        .next()
+        .ok_or_else(|| err(0, format!("empty {what}")))?;
+    if first != header {
+        return Err(err(1, format!("bad header `{first}`")));
     }
     let mut shard = None;
     let mut entries = Vec::new();
@@ -742,7 +559,8 @@ pub fn parse_manifest(text: &str) -> Result<(ShardId, Vec<(usize, Scenario)>), M
             continue;
         }
         if line.starts_with('#') {
-            continue; // future extension lines
+            meta(line).map_err(|m| err(lineno, m))?;
+            continue;
         }
         let (index, record) = line
             .split_once(' ')
@@ -750,10 +568,8 @@ pub fn parse_manifest(text: &str) -> Result<(ShardId, Vec<(usize, Scenario)>), M
         let index = index
             .parse()
             .map_err(|_| err(lineno, format!("bad index `{index}`")))?;
-        let scenario = decode_scenario(record).map_err(|m| err(lineno, m))?;
-        entries.push((index, scenario));
+        entries.push((index, decode(record).map_err(|m| err(lineno, m))?));
     }
-    let shard = shard.ok_or_else(|| err(0, "missing #shard line"))?;
     Ok((shard, entries))
 }
 
@@ -783,79 +599,37 @@ pub fn write_outcomes(stats: &BatchStats, entries: &[(usize, ScenarioOutcome)]) 
 pub fn parse_outcomes(
     text: &str,
 ) -> Result<(BatchStats, Vec<(usize, ScenarioOutcome)>), ManifestError> {
-    let mut lines = text.lines().enumerate();
-    let (_, header) = lines.next().ok_or_else(|| err(0, "empty outcome file"))?;
-    if header != OUTCOMES_HEADER {
-        return Err(err(1, format!("bad header `{header}`")));
-    }
     let mut stats = BatchStats::default();
     let mut saw_stats = false;
-    let mut entries = Vec::new();
-    for (i, line) in lines {
-        let lineno = i + 1;
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("#shard ") {
-            let id = rest
-                .trim()
-                .parse()
-                .map_err(|_| err(lineno, format!("bad shard id `{rest}`")))?;
-            stats.shard = ShardId(id);
-            continue;
-        }
+    let meta = |line: &str| {
         if let Some(rest) = line.strip_prefix("#stats ") {
             let mut t = Tokens::new(rest);
-            let parsed: Result<_, String> = (|| {
-                let scenarios = t.u64()?;
-                let executed = t.u64()?;
-                let cache_hits = t.u64()?;
-                let deduped = t.u64()?;
-                let steals = t.u64()?;
-                t.done()?;
-                Ok((scenarios, executed, cache_hits, deduped, steals))
-            })();
-            let (scenarios, executed, cache_hits, deduped, steals) =
-                parsed.map_err(|m| err(lineno, m))?;
-            stats.scenarios = scenarios;
-            stats.executed = executed;
-            stats.cache_hits = cache_hits;
-            stats.deduped = deduped;
-            stats.steals = steals;
+            stats.scenarios = t.int()?;
+            stats.executed = t.int()?;
+            stats.cache_hits = t.int()?;
+            stats.deduped = t.int()?;
+            stats.steals = t.int()?;
+            t.done()?;
             saw_stats = true;
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("#worker ") {
+        } else if let Some(rest) = line.strip_prefix("#worker ") {
             let mut t = Tokens::new(rest);
-            let parsed: Result<WorkerBatchStats, String> = (|| {
-                let row = WorkerBatchStats {
-                    shard: ShardId(t.u32()?),
-                    worker: t.u32()?,
-                    executed: t.u64()?,
-                    steals: t.u64()?,
-                    cache_hits: t.u64()?,
-                };
-                t.done()?;
-                Ok(row)
-            })();
-            stats.per_worker.push(parsed.map_err(|m| err(lineno, m))?);
-            continue;
+            let row = WorkerBatchStats {
+                shard: ShardId(t.int()?),
+                worker: t.int()?,
+                executed: t.int()?,
+                steals: t.int()?,
+                cache_hits: t.int()?,
+            };
+            t.done()?;
+            stats.per_worker.push(row);
         }
-        if line.starts_with('#') {
-            continue; // future extension lines
-        }
-        let (index, record) = line
-            .split_once(' ')
-            .ok_or_else(|| err(lineno, "want `<index> <record>`"))?;
-        let index = index
-            .parse()
-            .map_err(|_| err(lineno, format!("bad index `{index}`")))?;
-        let outcome = decode_outcome(record).map_err(|m| err(lineno, m))?;
-        entries.push((index, outcome));
-    }
+        Ok(())
+    };
+    let (shard, entries) = parse_file(text, OUTCOMES_HEADER, "outcome file", meta, decode_outcome)?;
     if !saw_stats {
         return Err(err(0, "missing #stats line"));
     }
+    stats.shard = shard.unwrap_or_default();
     Ok((stats, entries))
 }
 
@@ -911,6 +685,10 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
 mod tests {
     use super::*;
     use crate::runner::conformance_corpus;
+
+    fn bits(v: f64) -> String {
+        format!("{:016x}", v.to_bits())
+    }
 
     #[test]
     fn corpus_scenarios_round_trip_by_fingerprint() {
@@ -1067,7 +845,7 @@ mod tests {
                     max_cluster: 2,
                     shortcuts: 1,
                 }),
-                "noc 2 1 3 2 0 1 3fe0000000000000 2 0 3ff8000000000000",
+                "noc 3 2 0 1 3fe0000000000000 2 0 3ff8000000000000 2 1",
             ),
             (
                 Scenario::WsnLifetime(WsnScenario {
@@ -1207,8 +985,9 @@ mod tests {
     #[test]
     fn strings_round_trip_including_empty_and_spaces() {
         for s in ["", "GATA3", "two words", "β-catenin"] {
-            let encoded = hex_str(s);
-            let mut t = Tokens::new(&encoded);
+            let mut wire = Wire(String::new());
+            wire.str(s);
+            let mut t = Tokens::new(&wire.0);
             assert_eq!(t.string().expect("string parse"), s);
         }
     }
@@ -1272,17 +1051,17 @@ mod tests {
         assert!(decode_scenario("grn thelper ko xβ4").is_err());
         // Untrusted element counts must not drive pre-allocation.
         assert!(decode_outcome("grn 18446744073709551615 x").is_err());
-        assert!(decode_scenario("noc 1 1 4 18446744073709551615").is_err());
+        assert!(decode_scenario("noc 4 18446744073709551615 1 1").is_err());
         // Flow invariants `CommGraph::new` would assert on.
         let rate = bits(1.0);
-        assert!(decode_scenario(&format!("noc 1 1 2 1 0 5 {rate}")).is_err());
-        assert!(decode_scenario(&format!("noc 1 1 2 1 0 0 {rate}")).is_err());
+        assert!(decode_scenario(&format!("noc 2 1 0 5 {rate} 1 1")).is_err());
+        assert!(decode_scenario(&format!("noc 2 1 0 0 {rate} 1 1")).is_err());
         let zero = bits(0.0);
-        assert!(decode_scenario(&format!("noc 1 1 2 1 0 1 {zero}")).is_err());
+        assert!(decode_scenario(&format!("noc 2 1 0 1 {zero} 1 1")).is_err());
         let nan = bits(f64::NAN);
-        assert!(decode_scenario(&format!("noc 1 1 2 1 0 1 {nan}")).is_err());
+        assert!(decode_scenario(&format!("noc 2 1 0 1 {nan} 1 1")).is_err());
         // A healthy noc record still decodes.
-        let ok = format!("noc 1 1 2 1 0 1 {rate}");
+        let ok = format!("noc 2 1 0 1 {rate} 1 1");
         assert!(decode_scenario(&ok).is_ok());
     }
 

@@ -226,13 +226,13 @@ mod tests {
         round_trip(Message::Assign {
             shard: ShardId(3),
             attempt: 2,
-            manifest: "# mns shard manifest v1\n#shard 3\n".into(),
+            manifest: "# mns shard manifest v2\n#shard 3\n".into(),
         });
         round_trip(Message::Result {
             worker: "w2".into(),
             shard: ShardId(1),
             attempt: 1,
-            outcomes: "# mns shard outcomes v1\nline two\n".into(),
+            outcomes: "# mns shard outcomes v2\nline two\n".into(),
             metrics: None,
         });
         round_trip(Message::Result {

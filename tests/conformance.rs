@@ -21,52 +21,22 @@
 //!    depend on shard completion order — in process or across the
 //!    `mns-dist` cluster (`tests/cluster_conformance.rs`).
 
+mod common;
+
 use std::collections::BTreeMap;
 
+use common::{assert_golden, golden_digests, random_policy, CORPUS_SEED};
 use micronano::core::runner::{
     conformance_corpus, AssayKind, BatchStats, FluidicsScenario, GrnModel, HarvestScenario,
-    KnockoutScenario, NocScenario, Runner, RunnerConfig, Scenario, ScenarioOutcome, ShardId,
-    ShardStrategy, WorkerBatchStats, WsnScenario,
+    KnockoutScenario, NocScenario, Runner, RunnerConfig, Scenario, ShardId, ShardStrategy,
+    WorkerBatchStats, WsnScenario,
 };
 use micronano::noc::graph::CommGraph;
-use micronano::policy::{PolicyAssignment, PolicyExpr};
+use micronano::policy::PolicyAssignment;
 use micronano::wsn::protocol::Protocol;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-
-/// Seed of the committed corpus (must match `examples/regen_golden.rs`).
-const CORPUS_SEED: u64 = 42;
-
-fn golden_digests() -> BTreeMap<String, String> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/corpus.txt");
-    let text = std::fs::read_to_string(path).expect("tests/golden/corpus.txt is committed");
-    text.lines()
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| {
-            let (label, digest) = l.rsplit_once(' ').expect("`label digest` lines");
-            (label.to_owned(), digest.to_owned())
-        })
-        .collect()
-}
-
-/// Asserts every outcome digest matches the committed golden file.
-fn assert_golden(corpus: &[Scenario], outcomes: &[ScenarioOutcome]) {
-    let golden = golden_digests();
-    assert_eq!(golden.len(), corpus.len());
-    assert_eq!(outcomes.len(), corpus.len());
-    for (scenario, outcome) in corpus.iter().zip(outcomes) {
-        let label = scenario.label();
-        let expected = golden
-            .get(&label)
-            .unwrap_or_else(|| panic!("scenario `{label}` missing from golden file"));
-        assert_eq!(
-            *expected,
-            outcome.digest().to_string(),
-            "golden drift on `{label}`"
-        );
-    }
-}
 
 #[test]
 fn serial_run_matches_golden_corpus() {
@@ -193,6 +163,7 @@ fn cached_replay_is_byte_identical_to_fresh_run() {
 #[test]
 fn in_process_shards_match_serial_and_golden() {
     let corpus = conformance_corpus(CORPUS_SEED);
+    assert_eq!(golden_digests().len(), corpus.len());
     let reference = Runner::serial().run(&corpus);
     for shards in [1usize, 2, 4] {
         for strategy in [ShardStrategy::RoundRobin, ShardStrategy::ByFamily] {
@@ -214,45 +185,6 @@ fn in_process_shards_match_serial_and_golden() {
             );
             assert_golden(&corpus, &report.outcomes);
         }
-    }
-}
-
-/// Draws a random (always-valid) policy expression: primitives at any
-/// depth, combinators until the depth budget runs out.
-fn random_policy(rng: &mut ChaCha8Rng, depth: usize) -> PolicyExpr {
-    let variants = if depth >= 2 { 3 } else { 7u8 };
-    match rng.gen_range(0..variants) {
-        0 => PolicyExpr::Fixed(rng.gen_range(0.0..1.0)),
-        1 => PolicyExpr::Greedy {
-            threshold: rng.gen_range(0.1..0.5),
-            duty_high: rng.gen_range(0.5..1.0),
-            duty_low: rng.gen_range(0.0..0.1),
-        },
-        2 => PolicyExpr::EnergyNeutral {
-            alpha: rng.gen_range(0.001..0.1),
-        },
-        3 => PolicyExpr::Forecast {
-            alpha: rng.gen_range(0.01..0.5),
-        },
-        4 => PolicyExpr::Derate {
-            inner: Box::new(random_policy(rng, depth + 1)),
-            fade: rng.gen_range(0.0..0.5),
-            floor: rng.gen_range(0.0..0.5),
-        },
-        5 => {
-            let low = rng.gen_range(0.05..0.4);
-            PolicyExpr::Hysteresis {
-                low,
-                high: rng.gen_range(low + 0.1..0.95),
-                on: Box::new(random_policy(rng, depth + 1)),
-                off: Box::new(random_policy(rng, depth + 1)),
-            }
-        }
-        _ => PolicyExpr::Clamp {
-            inner: Box::new(random_policy(rng, depth + 1)),
-            lo: rng.gen_range(0.0..0.3),
-            hi: rng.gen_range(0.5..1.0),
-        },
     }
 }
 

@@ -12,17 +12,27 @@
 //! A separate case parses pure random bytes. The unmutated texts must
 //! keep round-tripping, pinning that the hardening did not reject valid
 //! input.
+//!
+//! The hand-written decoder is also checked against the single field
+//! walk that writes records: random scenarios of all six families and
+//! random outcomes of all six variants must decode and re-encode to the
+//! same bytes.
+
+mod common;
 
 use std::sync::OnceLock;
 
+use common::random_policy;
 use micronano::core::runner::manifest::{
-    decode_outcome, decode_scenario, encode_scenario, parse_manifest, parse_outcomes,
-    write_manifest, write_outcomes,
+    decode_outcome, decode_scenario, encode_outcome, encode_scenario, parse_manifest,
+    parse_outcomes, write_manifest, write_outcomes,
 };
 use micronano::core::runner::{
-    conformance_corpus, HarvestScenario, Runner, Scenario, ScenarioOutcome, ShardId, WsnScenario,
+    conformance_corpus, AssayKind, FluidicsScenario, GrnModel, HarvestScenario, KnockoutScenario,
+    LabChipScenario, NocScenario, Runner, Scenario, ScenarioOutcome, ShardId, WsnScenario,
 };
-use micronano::policy::{PolicyAssignment, PolicyExpr};
+use micronano::noc::graph::{CommGraph, Flow};
+use micronano::policy::PolicyAssignment;
 use micronano::wsn::protocol::Protocol;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -54,76 +64,102 @@ fn base_outcomes() -> &'static str {
     })
 }
 
-/// Random (always-valid) policy expression — primitives at any depth,
-/// combinators until the depth budget runs out. Mirrors the generator in
-/// `tests/conformance.rs` so the fuzzed records cover every wire token.
-fn random_policy(rng: &mut ChaCha8Rng, depth: usize) -> PolicyExpr {
-    let variants = if depth >= 2 { 3 } else { 8u8 };
-    match rng.gen_range(0..variants) {
-        0 => PolicyExpr::Fixed(rng.gen_range(0.0..1.0)),
-        1 => PolicyExpr::Greedy {
-            threshold: rng.gen_range(0.1..0.5),
-            duty_high: rng.gen_range(0.5..1.0),
-            duty_low: rng.gen_range(0.0..0.1),
-        },
-        2 => PolicyExpr::EnergyNeutral {
-            alpha: rng.gen_range(0.001..0.1),
-        },
-        3 => PolicyExpr::Forecast {
-            alpha: rng.gen_range(0.01..0.5),
-        },
-        4 => PolicyExpr::Derate {
-            inner: Box::new(random_policy(rng, depth + 1)),
-            fade: rng.gen_range(0.0..0.5),
-            floor: rng.gen_range(0.0..0.5),
-        },
-        5 => {
-            let low = rng.gen_range(0.05..0.4);
-            PolicyExpr::Hysteresis {
-                low,
-                high: rng.gen_range(low + 0.1..0.95),
-                on: Box::new(random_policy(rng, depth + 1)),
-                off: Box::new(random_policy(rng, depth + 1)),
-            }
-        }
-        6 => {
-            let mut start = 0u64;
-            let pieces = (0..rng.gen_range(1..4usize))
-                .map(|k| {
-                    if k > 0 {
-                        start += rng.gen_range(1..10u64);
-                    }
-                    (start, random_policy(rng, depth + 1))
-                })
-                .collect();
-            PolicyExpr::Scheduled { pieces }
-        }
-        _ => PolicyExpr::Clamp {
-            inner: Box::new(random_policy(rng, depth + 1)),
-            lo: rng.gen_range(0.0..0.3),
-            hi: rng.gen_range(0.5..1.0),
-        },
+/// A float for a field decode passes through unvalidated: often NaN,
+/// ±inf or −0.0, otherwise an ordinary value of either sign.
+fn wild_f64(rng: &mut ChaCha8Rng) -> f64 {
+    match rng.gen_range(0..6u8) {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => -0.0,
+        _ => rng.gen_range(-1e3..1e3),
     }
 }
 
-/// A policy-heavy scenario record: either a harvest run under a deep
-/// composite expression or a lifetime run with a per-node assignment.
-fn random_policy_record(rng: &mut ChaCha8Rng) -> String {
-    let scenario = if rng.gen() {
-        Scenario::Harvest(HarvestScenario {
-            policy: random_policy(rng, 0),
-            days: rng.gen_range(1..5),
-            cloudiness: rng.gen_range(0.0..1.0),
-            seed: rng.gen_range(0..1_000),
+fn random_assay(rng: &mut ChaCha8Rng) -> AssayKind {
+    match rng.gen_range(0..5u8) {
+        0 => AssayKind::Multiplex,
+        1 => AssayKind::SerialDilution,
+        2 => AssayKind::Washing {
+            wash_steps: rng.gen_range(0..8),
+        },
+        3 => AssayKind::MixingTree {
+            fanin: rng.gen_range(0..8),
+        },
+        _ => AssayKind::DilutionGradient,
+    }
+}
+
+/// A random valid communication graph: endpoints in range, no
+/// self-loops, positive rates (the invariants decode enforces).
+fn random_graph(rng: &mut ChaCha8Rng) -> CommGraph {
+    let cores = rng.gen_range(2..12usize);
+    let flows = (0..rng.gen_range(0..8usize))
+        .map(|_| {
+            let src = rng.gen_range(0..cores);
+            let dst = (src + rng.gen_range(1..cores)) % cores;
+            let rate = if rng.gen_range(0..8u8) == 0 {
+                f64::INFINITY
+            } else {
+                rng.gen_range(1e-3..4.0)
+            };
+            Flow { src, dst, rate }
         })
-    } else {
-        Scenario::WsnLifetime(WsnScenario {
-            nodes: rng.gen_range(10..40),
-            side: rng.gen_range(60.0..200.0),
-            protocol: Protocol::cluster(0.1, true),
-            failure_rate: rng.gen_range(0.0..0.01),
-            max_rounds: rng.gen_range(50..300),
-            seed: rng.gen_range(0..1_000),
+        .collect();
+    CommGraph::new(cores, flows)
+}
+
+fn random_knockout(rng: &mut ChaCha8Rng) -> Option<String> {
+    match rng.gen_range(0..5u8) {
+        0 => None,
+        1 => Some(String::new()),
+        2 => Some("two words".to_owned()),
+        3 => Some("β-catenin".to_owned()),
+        _ => Some(format!("GENE{}", rng.gen_range(0..100u32))),
+    }
+}
+
+/// A random scenario of any of the six families, with every field the
+/// decoder accepts as-is drawn wide: negative grid sides, NaN/±inf/−0.0
+/// floats, arbitrary seeds and whorls, awkward knockout names.
+fn random_scenario(rng: &mut ChaCha8Rng) -> Scenario {
+    match rng.gen_range(0..6u8) {
+        0 => Scenario::FluidicsCompile(FluidicsScenario {
+            assay: random_assay(rng),
+            plex: rng.gen_range(0..6),
+            grid_side: rng.gen_range(-32..64),
+            dead_fraction: wild_f64(rng),
+            fault_seed: rng.gen(),
+        }),
+        1 => Scenario::LabChip(LabChipScenario {
+            assay: random_assay(rng),
+            seed: rng.gen(),
+            samples_per_run: rng.gen_range(0..8),
+            dead_fraction: wild_f64(rng),
+            fault_seed: rng.gen(),
+        }),
+        2 => Scenario::NocPoint(NocScenario {
+            app: random_graph(rng),
+            max_cluster: rng.gen_range(0..9),
+            shortcuts: rng.gen_range(0..9),
+        }),
+        3 => Scenario::WsnLifetime(WsnScenario {
+            nodes: rng.gen_range(0..80),
+            side: wild_f64(rng),
+            protocol: match rng.gen_range(0..3u8) {
+                0 => Protocol::Direct,
+                1 => Protocol::Tree {
+                    radio_range: wild_f64(rng),
+                    aggregate: rng.gen(),
+                },
+                _ => Protocol::Cluster {
+                    p: wild_f64(rng),
+                    aggregate: rng.gen(),
+                },
+            },
+            failure_rate: wild_f64(rng),
+            max_rounds: rng.gen(),
+            seed: rng.gen(),
             policies: match rng.gen_range(0..3u8) {
                 0 => None,
                 1 => Some(PolicyAssignment::Uniform(random_policy(rng, 0))),
@@ -133,9 +169,75 @@ fn random_policy_record(rng: &mut ChaCha8Rng) -> String {
                         .collect(),
                 )),
             },
-        })
-    };
-    encode_scenario(&scenario)
+        }),
+        4 => Scenario::Harvest(HarvestScenario {
+            policy: random_policy(rng, 0),
+            days: rng.gen(),
+            cloudiness: wild_f64(rng),
+            seed: rng.gen(),
+        }),
+        _ => Scenario::Knockout(KnockoutScenario {
+            model: if rng.gen() {
+                GrnModel::THelper
+            } else {
+                GrnModel::Arabidopsis { whorl: rng.gen() }
+            },
+            knockout: random_knockout(rng),
+        }),
+    }
+}
+
+/// A random outcome of any of the six variants.
+fn random_outcome(rng: &mut ChaCha8Rng) -> ScenarioOutcome {
+    match rng.gen_range(0..6u8) {
+        0 => ScenarioOutcome::Fluidics {
+            compiled: rng.gen(),
+            makespan: rng.gen(),
+            moves: rng.gen(),
+            stalls: rng.gen(),
+            energy: rng.gen(),
+            reroutes: rng.gen(),
+            abandoned: rng.gen(),
+        },
+        1 => ScenarioOutcome::LabChip {
+            ok: rng.gen(),
+            makespan: rng.gen(),
+            energy: rng.gen(),
+            sensing_error: wild_f64(rng),
+            biclusters: rng.gen(),
+            recovery: wild_f64(rng),
+            relevance: wild_f64(rng),
+            samples_dropped: rng.gen(),
+        },
+        2 => ScenarioOutcome::Noc {
+            feasible: rng.gen(),
+            weighted_hops: wild_f64(rng),
+            energy: wild_f64(rng),
+            area: wild_f64(rng),
+            deadlock_free: rng.gen(),
+        },
+        3 => ScenarioOutcome::Wsn {
+            first_death: rng.gen(),
+            half_death: rng.gen(),
+            rounds: rng.gen(),
+            sensed: rng.gen(),
+            delivered: rng.gen(),
+            avg_coverage: wild_f64(rng),
+            energy_spent: wild_f64(rng),
+        },
+        4 => ScenarioOutcome::Harvest {
+            work: wild_f64(rng),
+            dead_slots: rng.gen(),
+            total_slots: rng.gen(),
+            wasted: wild_f64(rng),
+            harvested: wild_f64(rng),
+            final_battery: wild_f64(rng),
+        },
+        _ => ScenarioOutcome::Knockout {
+            fixed_points: (0..rng.gen_range(0..6usize)).map(|_| rng.gen()).collect(),
+            annotation: random_knockout(rng).unwrap_or_default(),
+        },
+    }
 }
 
 /// Applies `count` random mutations — overwrite, truncate or splice —
@@ -207,13 +309,14 @@ proptest! {
         parse_everything(&String::from_utf8_lossy(&bytes));
     }
 
-    // Policy-expression tokens survive arbitrary byte mutations: the
-    // decoder either returns an error or a *validated* scenario — it
-    // must never panic and never accept a policy that fails validation.
+    // Scenario records (policy expressions included) survive arbitrary
+    // byte mutations: the decoder either returns an error or a
+    // *validated* scenario — it must never panic and never accept a
+    // policy that fails validation.
     #[test]
     fn mutated_policy_records_never_panic(seed in any::<u64>()) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let record = random_policy_record(&mut rng);
+        let record = encode_scenario(&random_scenario(&mut rng));
         let count = rng.gen_range(1..16usize);
         let mutated = mutate(&record, &mut rng, count);
         if let Ok(scenario) = decode_scenario(&mutated) {
@@ -235,7 +338,7 @@ proptest! {
     #[test]
     fn garbage_policy_tails_never_panic(seed in any::<u64>()) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let record = random_policy_record(&mut rng);
+        let record = encode_scenario(&random_scenario(&mut rng));
         let mut cut = rng.gen_range(0..=record.len());
         while !record.is_char_boundary(cut) {
             cut -= 1;
@@ -253,18 +356,36 @@ proptest! {
         parse_everything(&garbled);
     }
 
-    // Unmutated policy records round-trip byte-identically: decode then
-    // re-encode reproduces the exact wire bytes.
+    // Unmutated records of every scenario family and outcome variant
+    // round-trip: decode then re-encode reproduces the exact wire bytes,
+    // the fingerprint or digest is unchanged, and decoded scenarios are
+    // equal in value (compared through `Debug`, so a NaN field matches
+    // itself).
     #[test]
     fn policy_records_round_trip_byte_identically(seed in any::<u64>()) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let record = random_policy_record(&mut rng);
-        let decoded = decode_scenario(&record).expect("valid record decodes");
+        let scenario = random_scenario(&mut rng);
+        let record = encode_scenario(&scenario);
+        let decoded = decode_scenario(&record)
+            .unwrap_or_else(|m| panic!("valid record `{record}` failed to decode: {m}"));
         prop_assert_eq!(
             encode_scenario(&decoded),
             record,
             "re-encoding drifted from the original wire bytes"
         );
+        prop_assert_eq!(decoded.fingerprint(), scenario.fingerprint());
+        prop_assert_eq!(format!("{decoded:?}"), format!("{scenario:?}"));
+
+        let outcome = random_outcome(&mut rng);
+        let record = encode_outcome(&outcome);
+        let decoded = decode_outcome(&record)
+            .unwrap_or_else(|m| panic!("valid record `{record}` failed to decode: {m}"));
+        prop_assert_eq!(
+            encode_outcome(&decoded),
+            record,
+            "re-encoding drifted from the original wire bytes"
+        );
+        prop_assert_eq!(decoded.digest(), outcome.digest());
     }
 }
 

@@ -14,6 +14,9 @@
 //! 4. **Engine determinism**: random mixed-policy batches produce
 //!    byte-identical digests serially, at 2 and 8 workers, and sharded.
 
+mod common;
+
+use common::random_policy;
 use micronano::core::runner::{HarvestScenario, RunnerConfig, Scenario, WsnScenario};
 use micronano::policy::{Policy, PolicyAssignment, PolicyExpr, SlotCtx};
 use micronano::wsn::harvest::{
@@ -53,45 +56,6 @@ fn random_primitive(rng: &mut ChaCha8Rng) -> DutyPolicy {
         },
         _ => DutyPolicy::EnergyNeutral {
             alpha: rng.gen_range(0.001..0.2),
-        },
-    }
-}
-
-/// Random (always-valid) policy expression, combinators until the depth
-/// budget runs out. Mirrors the generator in `tests/conformance.rs`.
-fn random_policy(rng: &mut ChaCha8Rng, depth: usize) -> PolicyExpr {
-    let variants = if depth >= 2 { 3 } else { 7u8 };
-    match rng.gen_range(0..variants) {
-        0 => PolicyExpr::Fixed(rng.gen_range(0.0..1.0)),
-        1 => PolicyExpr::Greedy {
-            threshold: rng.gen_range(0.1..0.5),
-            duty_high: rng.gen_range(0.5..1.0),
-            duty_low: rng.gen_range(0.0..0.1),
-        },
-        2 => PolicyExpr::EnergyNeutral {
-            alpha: rng.gen_range(0.001..0.1),
-        },
-        3 => PolicyExpr::Forecast {
-            alpha: rng.gen_range(0.01..0.5),
-        },
-        4 => PolicyExpr::Derate {
-            inner: Box::new(random_policy(rng, depth + 1)),
-            fade: rng.gen_range(0.0..0.5),
-            floor: rng.gen_range(0.0..0.5),
-        },
-        5 => {
-            let low = rng.gen_range(0.05..0.4);
-            PolicyExpr::Hysteresis {
-                low,
-                high: rng.gen_range(low + 0.1..0.95),
-                on: Box::new(random_policy(rng, depth + 1)),
-                off: Box::new(random_policy(rng, depth + 1)),
-            }
-        }
-        _ => PolicyExpr::Clamp {
-            inner: Box::new(random_policy(rng, depth + 1)),
-            lo: rng.gen_range(0.0..0.3),
-            hi: rng.gen_range(0.5..1.0),
         },
     }
 }

@@ -16,9 +16,11 @@
 //! Telemetry state is process-global, so every test here serializes on
 //! one lock and resets state on entry and exit.
 
-use std::collections::BTreeMap;
+mod common;
+
 use std::sync::{Arc, Mutex};
 
+use common::{assert_golden, golden_digests, CORPUS_SEED};
 use micronano::core::runner::{
     conformance_corpus, AssayKind, FluidicsScenario, GrnModel, HarvestScenario, KnockoutScenario,
     NocScenario, Runner, RunnerConfig, Scenario, ScenarioOutcome, WsnScenario,
@@ -30,9 +32,6 @@ use micronano::wsn::protocol::Protocol;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-
-/// Seed of the committed corpus (must match `examples/regen_golden.rs`).
-const CORPUS_SEED: u64 = 42;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -59,18 +58,6 @@ fn isolated<T>(f: impl FnOnce() -> T) -> T {
     telemetry::disable();
     telemetry::reset();
     out
-}
-
-fn golden_digests() -> BTreeMap<String, String> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/corpus.txt");
-    let text = std::fs::read_to_string(path).expect("tests/golden/corpus.txt is committed");
-    text.lines()
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| {
-            let (label, digest) = l.rsplit_once(' ').expect("`label digest` lines");
-            (label.to_owned(), digest.to_owned())
-        })
-        .collect()
 }
 
 /// A cheap mixed batch covering five scenario families, with a
@@ -133,19 +120,8 @@ fn disabled_telemetry_leaves_golden_corpus_untouched() {
         assert!(telemetry::take_trace().is_empty());
         assert!(telemetry::snapshot().is_empty());
         // …and the digests still match the committed golden file.
-        let golden = golden_digests();
-        assert_eq!(golden.len(), corpus.len());
-        for (scenario, outcome) in corpus.iter().zip(&outcomes) {
-            let label = scenario.label();
-            let expected = golden
-                .get(&label)
-                .unwrap_or_else(|| panic!("scenario `{label}` missing from golden file"));
-            assert_eq!(
-                *expected,
-                outcome.digest().to_string(),
-                "golden drift on `{label}` with telemetry linked in but disabled"
-            );
-        }
+        assert_eq!(golden_digests().len(), corpus.len());
+        assert_golden(&corpus, &outcomes);
     });
 }
 
