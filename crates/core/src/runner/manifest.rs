@@ -97,8 +97,7 @@ impl<'a> Tokens<'a> {
     /// A decimal integer of the primitive type `T` (`u64`, `usize`, …).
     fn int<T: std::str::FromStr>(&mut self) -> Result<T, String> {
         let t = self.next()?;
-        t.parse()
-            .map_err(|_| format!("bad {} `{t}`", std::any::type_name::<T>()))
+        t.parse().map_err(|_| format!("bad integer `{t}`"))
     }
 
     /// Floats travel as 16 hex digits of their IEEE-754 bit pattern.
@@ -1035,6 +1034,10 @@ mod tests {
         assert!(parse_manifest(&format!("{MANIFEST_HEADER}\n0 fluidics 1\n")).is_err());
         assert!(decode_scenario("fluidics 1 16 0000000000000000 0 extra").is_err());
         assert!(decode_scenario("martian 1 2 3").is_err());
+        assert_eq!(
+            decode_scenario("fluidics multiplex -1 16 0000000000000000 0").unwrap_err(),
+            "bad integer `-1`"
+        );
         assert!(decode_outcome("grn 2 5").is_err(), "truncated fixed points");
         assert!(parse_outcomes(&format!("{OUTCOMES_HEADER}\n#shard 0\n")).is_err());
     }

@@ -119,6 +119,56 @@ fn random_knockout(rng: &mut ChaCha8Rng) -> Option<String> {
     }
 }
 
+/// A random WSN scenario; two in three carry a policy assignment.
+fn random_wsn(rng: &mut ChaCha8Rng) -> Scenario {
+    Scenario::WsnLifetime(WsnScenario {
+        nodes: rng.gen_range(0..80),
+        side: wild_f64(rng),
+        protocol: match rng.gen_range(0..3u8) {
+            0 => Protocol::Direct,
+            1 => Protocol::Tree {
+                radio_range: wild_f64(rng),
+                aggregate: rng.gen(),
+            },
+            _ => Protocol::Cluster {
+                p: wild_f64(rng),
+                aggregate: rng.gen(),
+            },
+        },
+        failure_rate: wild_f64(rng),
+        max_rounds: rng.gen(),
+        seed: rng.gen(),
+        policies: match rng.gen_range(0..3u8) {
+            0 => None,
+            1 => Some(PolicyAssignment::Uniform(random_policy(rng, 0))),
+            _ => Some(PolicyAssignment::RoundRobin(
+                (0..rng.gen_range(1..5usize))
+                    .map(|_| random_policy(rng, 0))
+                    .collect(),
+            )),
+        },
+    })
+}
+
+fn random_harvest(rng: &mut ChaCha8Rng) -> Scenario {
+    Scenario::Harvest(HarvestScenario {
+        policy: random_policy(rng, 0),
+        days: rng.gen(),
+        cloudiness: wild_f64(rng),
+        seed: rng.gen(),
+    })
+}
+
+/// A harvest or WSN scenario: the families whose records carry policy
+/// expressions, so most mutations land in the policy decoder.
+fn random_policy_scenario(rng: &mut ChaCha8Rng) -> Scenario {
+    if rng.gen() {
+        random_harvest(rng)
+    } else {
+        random_wsn(rng)
+    }
+}
+
 /// A random scenario of any of the six families, with every field the
 /// decoder accepts as-is drawn wide: negative grid sides, NaN/±inf/−0.0
 /// floats, arbitrary seeds and whorls, awkward knockout names.
@@ -143,39 +193,8 @@ fn random_scenario(rng: &mut ChaCha8Rng) -> Scenario {
             max_cluster: rng.gen_range(0..9),
             shortcuts: rng.gen_range(0..9),
         }),
-        3 => Scenario::WsnLifetime(WsnScenario {
-            nodes: rng.gen_range(0..80),
-            side: wild_f64(rng),
-            protocol: match rng.gen_range(0..3u8) {
-                0 => Protocol::Direct,
-                1 => Protocol::Tree {
-                    radio_range: wild_f64(rng),
-                    aggregate: rng.gen(),
-                },
-                _ => Protocol::Cluster {
-                    p: wild_f64(rng),
-                    aggregate: rng.gen(),
-                },
-            },
-            failure_rate: wild_f64(rng),
-            max_rounds: rng.gen(),
-            seed: rng.gen(),
-            policies: match rng.gen_range(0..3u8) {
-                0 => None,
-                1 => Some(PolicyAssignment::Uniform(random_policy(rng, 0))),
-                _ => Some(PolicyAssignment::RoundRobin(
-                    (0..rng.gen_range(1..5usize))
-                        .map(|_| random_policy(rng, 0))
-                        .collect(),
-                )),
-            },
-        }),
-        4 => Scenario::Harvest(HarvestScenario {
-            policy: random_policy(rng, 0),
-            days: rng.gen(),
-            cloudiness: wild_f64(rng),
-            seed: rng.gen(),
-        }),
+        3 => random_wsn(rng),
+        4 => random_harvest(rng),
         _ => Scenario::Knockout(KnockoutScenario {
             model: if rng.gen() {
                 GrnModel::THelper
@@ -309,28 +328,33 @@ proptest! {
         parse_everything(&String::from_utf8_lossy(&bytes));
     }
 
-    // Scenario records (policy expressions included) survive arbitrary
-    // byte mutations: the decoder either returns an error or a
-    // *validated* scenario — it must never panic and never accept a
-    // policy that fails validation.
+    // Scenario records survive arbitrary byte mutations: the decoder
+    // either returns an error or a *validated* scenario — it must never
+    // panic and never accept a policy that fails validation. Each case
+    // mutates one policy-bearing record and one of any family.
     #[test]
     fn mutated_policy_records_never_panic(seed in any::<u64>()) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let record = encode_scenario(&random_scenario(&mut rng));
-        let count = rng.gen_range(1..16usize);
-        let mutated = mutate(&record, &mut rng, count);
-        if let Ok(scenario) = decode_scenario(&mutated) {
-            match &scenario {
-                Scenario::Harvest(h) => assert!(h.policy.validate().is_ok()),
-                Scenario::WsnLifetime(w) => {
-                    if let Some(a) = &w.policies {
-                        assert!(a.validate().is_ok());
+        let records = [
+            encode_scenario(&random_policy_scenario(&mut rng)),
+            encode_scenario(&random_scenario(&mut rng)),
+        ];
+        for record in &records {
+            let count = rng.gen_range(1..16usize);
+            let mutated = mutate(record, &mut rng, count);
+            if let Ok(scenario) = decode_scenario(&mutated) {
+                match &scenario {
+                    Scenario::Harvest(h) => assert!(h.policy.validate().is_ok()),
+                    Scenario::WsnLifetime(w) => {
+                        if let Some(a) = &w.policies {
+                            assert!(a.validate().is_ok());
+                        }
                     }
+                    _ => {}
                 }
-                _ => {}
             }
+            parse_everything(&mutated);
         }
-        parse_everything(&mutated);
     }
 
     // Garbage spliced specifically into the policy-token tail of a
@@ -338,7 +362,7 @@ proptest! {
     #[test]
     fn garbage_policy_tails_never_panic(seed in any::<u64>()) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let record = encode_scenario(&random_scenario(&mut rng));
+        let record = encode_scenario(&random_policy_scenario(&mut rng));
         let mut cut = rng.gen_range(0..=record.len());
         while !record.is_char_boundary(cut) {
             cut -= 1;
