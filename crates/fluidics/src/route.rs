@@ -23,8 +23,34 @@
 //! else is *hard*. The `best`/`parent` maps of the search itself are dense
 //! epoch-tagged slabs indexed by `(cell, tick)`, so the priority-rotation
 //! retries of [`route_with_environment`] reuse one allocation without
-//! clearing. The pre-index planner survives unchanged in [`reference`] as
-//! the differential-test oracle; both produce byte-identical routes.
+//! clearing. The pre-index planner survives in [`reference`] as the
+//! differential-test oracle; both produce byte-identical routes.
+//!
+//! ## Search order and the canonical tie-break
+//!
+//! The oracle pops states by `(t + manhattan, moves, t, cell)`, which
+//! ignores a request's `earliest_arrival` gate: before the gate opens it
+//! floods every `(cell, t)` state that could still arrive on time. The
+//! production search pops by `(max(t + manhattan, earliest_arrival),
+//! moves + manhattan, moves, t, cell)` instead. Both leading terms never
+//! decrease along a transition and `t` always grows, so each state's
+//! minimum move count is final when it is first popped, and the first
+//! accepting goal pop is still the earliest arrival at or after the gate.
+//! Which of several equal-move predecessors a state keeps depends on
+//! expansion order, so the search does not leave it to that order: on an
+//! equal-moves relaxation it keeps the predecessor that is smaller under
+//! the oracle's key. The oracle keeps the first such predecessor it pops,
+//! which is that same minimum, and every predecessor a route can run
+//! through is popped by both searches before their common goal state, so
+//! the two reconstruct the same route.
+//!
+//! ## Priority rotations
+//!
+//! A failed pass moves the failing request to the front of the planning
+//! order and retries. A pass is a pure function of the order, so once an
+//! order repeats, every later pass repeats with the same period; the
+//! router then answers the last allowed rotation by period arithmetic
+//! instead of running the remaining passes.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -194,6 +220,11 @@ pub struct RoutingConfig {
     /// (anticipatory).
     pub lookahead: u32,
     /// How many priority rotations to attempt before giving up.
+    ///
+    /// Each pass depends only on the planning order, so the router stops
+    /// early once an order repeats and reports the [`RouteError`] that the
+    /// last allowed rotation would have reached: the result is the same
+    /// as running every rotation.
     pub max_priority_rotations: u32,
 }
 
@@ -388,7 +419,7 @@ fn route_environment_inner(
             return Err(RouteError::BadEndpoint(r.id));
         }
         if let Some(d) = r.deadline {
-            if r.depart + r.start.manhattan(r.goal) as u32 > d {
+            if u64::from(r.depart) + u64::from(r.start.manhattan(r.goal) as u32) > u64::from(d) {
                 return Err(RouteError::DeadlineMissed(r.id));
             }
         }
@@ -400,11 +431,24 @@ fn route_environment_inner(
 
     let walls = ObstacleGrid::build(grid, obstacles);
     let slow = DegradedGrid::build(grid, degraded);
-    let mut reservations = ReservationIndex::new(grid, config.lookahead);
+    let base = requests.iter().map(|r| r.depart).min().unwrap_or(0);
+    let mut reservations = ReservationIndex::new(grid, config.lookahead, base);
     let mut slab = SearchSlab::new(grid);
 
+    // Every failed pass so far: its planning order and the failing id.
+    let mut failed: Vec<(Vec<usize>, u32)> = Vec::new();
     let mut rotations = 0;
     loop {
+        if let Some(first) = failed.iter().position(|(seen, _)| *seen == order) {
+            // The order repeats, and so does every pass after it, with
+            // period `failed.len() - first`. The last pass the rotation
+            // budget allows has index `max_priority_rotations`.
+            let period = failed.len() - first;
+            let last = config.max_priority_rotations as usize;
+            return Err(RouteError::Unroutable(
+                failed[first + (last - first) % period].1,
+            ));
+        }
         match try_order(
             grid,
             requests,
@@ -441,13 +485,15 @@ fn route_environment_inner(
                 });
             }
             Err(failed_pos) => {
+                let id = requests[order[failed_pos]].id;
                 rotations += 1;
                 if rotations > config.max_priority_rotations {
-                    return Err(RouteError::Unroutable(requests[order[failed_pos]].id));
+                    return Err(RouteError::Unroutable(id));
                 }
+                failed.push((order.clone(), id));
                 // Move the failed request to the front and retry.
-                let failed = order.remove(failed_pos);
-                order.insert(0, failed);
+                let request = order.remove(failed_pos);
+                order.insert(0, request);
             }
         }
     }
@@ -486,7 +532,7 @@ pub fn route_serial(
         }
         // Two settling ticks keep the dynamic fluidic rule satisfied even
         // when one droplet's goal coincides with the next one's start.
-        clock = route.arrival() + 2;
+        clock = route.arrival().saturating_add(2);
         routes.push(route);
     }
     let makespan = routes.iter().map(Route::arrival).max().unwrap_or(0);
@@ -540,21 +586,28 @@ const FREE_SLOT: ResSlot = ResSlot {
 /// this tick?" — the check the pre-index planner answered by scanning all
 /// planned routes. Epoch-tagged so the priority-rotation retries reuse the
 /// allocation without clearing.
+///
+/// Ticks are stored relative to `base`, the earliest departure of the
+/// batch, so late departures do not allocate the empty ticks before
+/// them. Every query is for an arrival after some departure, hence after
+/// `base`, so marks before `base` are dropped.
 struct ReservationIndex {
     cells: usize,
     width: i32,
     lookahead: u32,
+    base: u32,
     ticks: u32,
     epoch: u32,
     slots: Vec<ResSlot>,
 }
 
 impl ReservationIndex {
-    fn new(grid: &Grid, lookahead: u32) -> Self {
+    fn new(grid: &Grid, lookahead: u32, base: u32) -> Self {
         ReservationIndex {
             cells: grid.cell_count() as usize,
             width: grid.width(),
             lookahead,
+            base,
             ticks: 0,
             epoch: 0,
             slots: Vec::new(),
@@ -567,15 +620,15 @@ impl ReservationIndex {
     }
 
     #[inline]
-    fn index(&self, cell: Cell, t: u32) -> usize {
-        t as usize * self.cells + (cell.y * self.width + cell.x) as usize
+    fn index(&self, cell: Cell, t_rel: u32) -> usize {
+        t_rel as usize * self.cells + (cell.y * self.width + cell.x) as usize
     }
 
-    fn ensure_ticks(&mut self, t: u32) {
-        if t < self.ticks {
+    fn ensure_ticks(&mut self, t_rel: u32) {
+        if t_rel < self.ticks {
             return;
         }
-        let ticks = (t + 1).next_power_of_two().max(64);
+        let ticks = (t_rel + 1).next_power_of_two().max(64);
         self.slots.resize(ticks as usize * self.cells, FREE_SLOT);
         self.ticks = ticks;
     }
@@ -584,10 +637,13 @@ impl ReservationIndex {
     /// Soft slots belong to a single merge group and only block outsiders.
     #[inline]
     fn blocked(&self, cell: Cell, t: u32, my_group: Option<u32>) -> bool {
-        if t >= self.ticks {
+        let Some(t_rel) = t.checked_sub(self.base) else {
+            return false;
+        };
+        if t_rel >= self.ticks {
             return false;
         }
-        let s = self.slots[self.index(cell, t)];
+        let s = self.slots[self.index(cell, t_rel)];
         if s.epoch != self.epoch {
             return false;
         }
@@ -596,9 +652,12 @@ impl ReservationIndex {
 
     #[inline]
     fn mark(&mut self, cell: Cell, t: u32, group: Option<u32>) {
-        self.ensure_ticks(t);
+        let Some(t_rel) = t.checked_sub(self.base) else {
+            return;
+        };
+        self.ensure_ticks(t_rel);
         let epoch = self.epoch;
-        let idx = self.index(cell, t);
+        let idx = self.index(cell, t_rel);
         let slot = &mut self.slots[idx];
         if slot.epoch != epoch {
             *slot = match group {
@@ -646,7 +705,9 @@ impl ReservationIndex {
                     }
                     self.mark(c, occupied, group);
                     if lookahead >= 1 {
-                        self.mark(c, occupied + 1, group);
+                        if let Some(t) = occupied.checked_add(1) {
+                            self.mark(c, t, group);
+                        }
                         if let Some(t) = occupied.checked_sub(1) {
                             self.mark(c, t, group);
                         }
@@ -895,7 +956,7 @@ fn pending_ok(
         let near = if lookahead == 0 {
             tau == p.depart
         } else {
-            tau + 1 >= p.depart && tau <= p.depart + 1
+            tau.abs_diff(p.depart) <= 1
         };
         if near && next.chebyshev(p.cell) < MIN_SEPARATION {
             return false;
@@ -906,9 +967,13 @@ fn pending_ok(
 
 /// Space-time A\* for one droplet against the reservation index.
 ///
-/// The node ordering, successor enumeration and accept/reject conditions
-/// are identical to [`reference`]'s planner — only the bookkeeping
-/// changed — so the two produce byte-identical routes.
+/// Successor enumeration and the accept/reject conditions are those of
+/// [`reference`]'s planner. The open list pops by `(max(t + manhattan,
+/// earliest_arrival), moves + manhattan, moves, t, cell)`, so the search
+/// heads for the goal instead of flooding the states before the arrival
+/// gate, and an equal-moves relaxation keeps the predecessor that is
+/// smaller under the oracle's key `(t + manhattan, moves, t, cell)`. The
+/// module docs show why together they return the oracle's route.
 #[allow(clippy::too_many_arguments)]
 fn astar(
     grid: &Grid,
@@ -924,19 +989,16 @@ fn astar(
 ) -> Option<Route> {
     #[derive(PartialEq, Eq)]
     struct Node {
-        f: u32,
+        gate: u32,
+        bound: u32,
         moves: u32,
-        cell: Cell,
         t: u32,
+        cell: Cell,
     }
     impl Ord for Node {
         fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            other
-                .f
-                .cmp(&self.f)
-                .then_with(|| other.moves.cmp(&self.moves))
-                .then_with(|| other.t.cmp(&self.t))
-                .then_with(|| other.cell.cmp(&self.cell))
+            (other.gate, other.bound, other.moves, other.t, other.cell)
+                .cmp(&(self.gate, self.bound, self.moves, self.t, self.cell))
         }
     }
     impl PartialOrd for Node {
@@ -948,9 +1010,20 @@ fn astar(
     let relative_cap = req.depart.saturating_add(config.max_time);
     let horizon = req.deadline.unwrap_or(relative_cap).min(relative_cap);
     let h0 = req.start.manhattan(req.goal) as u32;
-    if req.depart + h0 > horizon {
+    // Sums that bound an arrival are taken in u64: an arrival tick past
+    // `u32::MAX` is out of reach, not an overflow. Every pushed state has
+    // `t + manhattan <= horizon`, so the sums below fit in u32.
+    if u64::from(req.depart) + u64::from(h0) > u64::from(horizon) {
         return None;
     }
+    let earliest = req.earliest_arrival.unwrap_or(0);
+    let node = |cell: Cell, t: u32, moves: u32, h: u32| Node {
+        gate: (t + h).max(earliest),
+        bound: moves + h,
+        moves,
+        t,
+        cell,
+    };
 
     slab.reset();
     let mut open = BinaryHeap::new();
@@ -966,7 +1039,7 @@ fn astar(
     let emergence_legal = {
         let t0 = req.depart;
         let lo = t0.saturating_sub(1);
-        let hi = t0 + if config.lookahead >= 2 { 2 } else { 1 };
+        let hi = t0.saturating_add(if config.lookahead >= 2 { 2 } else { 1 });
         !walls.blocked(req.start, t0, &req.ignore_tags)
             && planned.iter().all(|(r, group)| {
                 if req.merge_group.is_some() && *group == req.merge_group {
@@ -983,18 +1056,11 @@ fn astar(
                 }
                 // Two guaranteed emergences within a tick of each other
                 // must already satisfy the spacing rule.
-                t0 + 1 < p.depart
-                    || p.depart + 1 < t0
-                    || req.start.chebyshev(p.cell) >= MIN_SEPARATION
+                t0.abs_diff(p.depart) > 1 || req.start.chebyshev(p.cell) >= MIN_SEPARATION
             })
     };
     if emergence_legal {
-        open.push(Node {
-            f: req.depart + h0,
-            moves: 0,
-            cell: req.start,
-            t: req.depart,
-        });
+        open.push(node(req.start, req.depart, 0, h0));
         slab.visit(req.start, 0, 0, NO_PARENT, 0);
     }
 
@@ -1003,7 +1069,7 @@ fn astar(
             continue; // stale heap entry
         }
         *expansions += 1;
-        if cell == req.goal && t >= req.earliest_arrival.unwrap_or(0) {
+        if cell == req.goal && t >= earliest {
             // Reconstruct back to the emergence seed; the route starts on
             // the array at that instant (`Route::depart`), any earlier
             // time having been spent inside the producer module. A link
@@ -1017,10 +1083,7 @@ fn astar(
                 if pc == NO_PARENT {
                     break;
                 }
-                let prev = (
-                    Cell::new(pc as i32 % grid.width(), pc as i32 / grid.width()),
-                    pt,
-                );
+                let prev = (grid_cell(grid, pc), pt);
                 for _ in 1..(cur.1 - prev.1) {
                     path.push(cur.0);
                 }
@@ -1038,6 +1101,9 @@ fn astar(
         if t >= horizon {
             continue;
         }
+        // This state's key in the oracle's pop order, for the tie-break.
+        let oracle_key = (t + cell.manhattan(req.goal) as u32, moves, t, cell);
+        let parent_cell = (cell.y * grid.width() + cell.x) as u32;
         let candidates = std::iter::once(cell).chain(grid.neighbors(cell));
         for next in candidates {
             let h = next.manhattan(req.goal) as u32;
@@ -1049,7 +1115,7 @@ fn astar(
             } else {
                 1
             };
-            if t + dt + h > horizon {
+            if u64::from(t) + u64::from(dt) + u64::from(h) > u64::from(horizon) {
                 continue; // cannot make the deadline from there
             }
             if (1..=dt).any(|d| walls.blocked(next, t + d, &req.ignore_tags)) {
@@ -1067,19 +1133,29 @@ fn astar(
             }
             let new_moves = moves + u32::from(next != cell);
             let t_next = t + dt;
-            if new_moves < slab.best(next, t_next - req.depart) {
-                let parent_cell = (cell.y * grid.width() + cell.x) as u32;
+            let known = slab.best(next, t_next - req.depart);
+            if new_moves < known {
                 slab.visit(next, t_next - req.depart, new_moves, parent_cell, t);
-                open.push(Node {
-                    f: t_next + h,
-                    moves: new_moves,
-                    cell: next,
-                    t: t_next,
-                });
+                open.push(node(next, t_next, new_moves, h));
+            } else if new_moves == known {
+                // Canonical tie-break: of two equal-move predecessors,
+                // keep the one the oracle would have popped first. The
+                // state is already queued with these moves.
+                let (pc, pt) = slab.parent(next, t_next - req.depart);
+                let prev = grid_cell(grid, pc);
+                let prev_moves = new_moves - u32::from(prev != next);
+                if oracle_key < (pt + prev.manhattan(req.goal) as u32, prev_moves, pt, prev) {
+                    slab.visit(next, t_next - req.depart, new_moves, parent_cell, t);
+                }
             }
         }
     }
     None
+}
+
+/// The cell with row-major index `index` on `grid`.
+fn grid_cell(grid: &Grid, index: u32) -> Cell {
+    Cell::new(index as i32 % grid.width(), index as i32 / grid.width())
 }
 
 /// The pre-reservation-index planner, frozen as the differential-test
@@ -1129,7 +1205,8 @@ pub mod reference {
                 return Err(RouteError::BadEndpoint(r.id));
             }
             if let Some(d) = r.deadline {
-                if r.depart + r.start.manhattan(r.goal) as u32 > d {
+                if u64::from(r.depart) + u64::from(r.start.manhattan(r.goal) as u32) > u64::from(d)
+                {
                     return Err(RouteError::DeadlineMissed(r.id));
                 }
             }
@@ -1235,7 +1312,7 @@ pub mod reference {
             let near = if lookahead == 0 {
                 tau == p.depart
             } else {
-                tau + 1 >= p.depart && tau <= p.depart + 1
+                tau.abs_diff(p.depart) <= 1
             };
             if near && next.chebyshev(p.cell) < MIN_SEPARATION {
                 return false;
@@ -1261,7 +1338,7 @@ pub mod reference {
                     }
                 }
                 // …and their next move versus our new cell.
-                if let Some(p) = r.position_at(t + 2) {
+                if let Some(p) = t.checked_add(2).and_then(|tt| r.position_at(tt)) {
                     if next.chebyshev(p) < MIN_SEPARATION {
                         return false;
                     }
@@ -1270,7 +1347,7 @@ pub mod reference {
             if lookahead >= 2 {
                 // Anticipatory: stay clear of where they will be after
                 // that.
-                if let Some(p) = r.position_at(t + 3) {
+                if let Some(p) = t.checked_add(3).and_then(|tt| r.position_at(tt)) {
                     if next.chebyshev(p) < MIN_SEPARATION {
                         return false;
                     }
@@ -1322,7 +1399,8 @@ pub mod reference {
         let relative_cap = req.depart.saturating_add(config.max_time);
         let horizon = req.deadline.unwrap_or(relative_cap).min(relative_cap);
         let h0 = req.start.manhattan(req.goal) as u32;
-        if req.depart + h0 > horizon {
+        // An arrival tick past `u32::MAX` is out of reach, not an overflow.
+        if u64::from(req.depart) + u64::from(h0) > u64::from(horizon) {
             return None;
         }
 
@@ -1333,7 +1411,7 @@ pub mod reference {
         let emergence_legal = {
             let t0 = req.depart;
             let lo = t0.saturating_sub(1);
-            let hi = t0 + if config.lookahead >= 2 { 2 } else { 1 };
+            let hi = t0.saturating_add(if config.lookahead >= 2 { 2 } else { 1 });
             !blocked(req.start, t0)
                 && planned.iter().all(|(r, group)| {
                     if req.merge_group.is_some() && *group == req.merge_group {
@@ -1348,9 +1426,7 @@ pub mod reference {
                     if req.merge_group.is_some() && p.merge_group == req.merge_group {
                         return true;
                     }
-                    t0 + 1 < p.depart
-                        || p.depart + 1 < t0
-                        || req.start.chebyshev(p.cell) >= MIN_SEPARATION
+                    t0.abs_diff(p.depart) > 1 || req.start.chebyshev(p.cell) >= MIN_SEPARATION
                 })
         };
         if emergence_legal {
@@ -1396,7 +1472,7 @@ pub mod reference {
                 } else {
                     1
                 };
-                if t + dt + h > horizon {
+                if u64::from(t) + u64::from(dt) + u64::from(h) > u64::from(horizon) {
                     continue;
                 }
                 if (1..=dt).any(|d| blocked(next, t + d)) {
@@ -1652,25 +1728,146 @@ mod tests {
         assert_eq!(RoutingConfig::new(), RoutingConfig::default());
     }
 
+    /// Runs the production router and counts its A\* expansions.
+    fn expansions_of(
+        g: &Grid,
+        reqs: &[RoutingRequest],
+        walls: &[Obstacle],
+        cfg: &RoutingConfig,
+    ) -> (Result<RoutingOutcome, RouteError>, u64) {
+        let mut expansions = 0;
+        let out = route_environment_inner(g, reqs, walls, &[], cfg, &mut expansions);
+        (out, expansions)
+    }
+
+    #[test]
+    fn walled_off_goal_cycles_with_period_one() {
+        // Droplet 1's goal is fenced in by dead electrodes. It is planned
+        // first (longest trip), fails at the front of the order, and the
+        // rotation puts it right back there: the order repeats at once,
+        // so one pass decides every rotation budget.
+        let g = grid(8, 8);
+        let goal = Cell::new(6, 6);
+        let fence: Vec<Obstacle> = goal
+            .neighbors4()
+            .into_iter()
+            .map(|c| Obstacle::cell(c, 0, u32::MAX))
+            .collect();
+        let reqs = vec![
+            RoutingRequest::new(0, Cell::new(0, 7), Cell::new(2, 7)),
+            RoutingRequest::new(1, Cell::new(0, 0), goal),
+        ];
+        let base = RoutingConfig::new().max_time(48);
+        let (_, one_pass) = expansions_of(&g, &reqs, &fence, &base.max_priority_rotations(0));
+        for rotations in [0, 1, 2, 5, 32, 39] {
+            let cfg = base.max_priority_rotations(rotations);
+            let (fast, expansions) = expansions_of(&g, &reqs, &fence, &cfg);
+            let oracle = reference::route_with_environment(&g, &reqs, &fence, &[], &cfg);
+            assert_eq!(
+                fast,
+                Err(RouteError::Unroutable(1)),
+                "{rotations} rotations"
+            );
+            assert_eq!(fast, oracle, "{rotations} rotations");
+            assert_eq!(
+                expansions, one_pass,
+                "{rotations} rotations ran extra passes"
+            );
+        }
+    }
+
+    #[test]
+    fn head_on_corridor_cycles_with_period_two() {
+        // Two droplets swap the ends of a one-lane corridor (the rows
+        // beside it are dead). Whichever is planned second cannot pass
+        // and moves to the front, so the failing droplet alternates and
+        // the order repeats every second pass.
+        let g = grid(7, 3);
+        let dead: Vec<Obstacle> = (0..7)
+            .flat_map(|x| [Cell::new(x, 0), Cell::new(x, 2)])
+            .map(|c| Obstacle::cell(c, 0, u32::MAX))
+            .collect();
+        let reqs = vec![
+            RoutingRequest::new(0, Cell::new(0, 1), Cell::new(6, 1)),
+            RoutingRequest::new(1, Cell::new(6, 1), Cell::new(0, 1)),
+        ];
+        let base = RoutingConfig::new().max_time(32);
+        let (_, two_passes) = expansions_of(&g, &reqs, &dead, &base.max_priority_rotations(1));
+        let mut failing = Vec::new();
+        for rotations in 0..8 {
+            let cfg = base.max_priority_rotations(rotations);
+            let (fast, expansions) = expansions_of(&g, &reqs, &dead, &cfg);
+            let oracle = reference::route_with_environment(&g, &reqs, &dead, &[], &cfg);
+            assert_eq!(fast, oracle, "{rotations} rotations");
+            if rotations >= 1 {
+                assert_eq!(
+                    expansions, two_passes,
+                    "{rotations} rotations ran extra passes"
+                );
+            }
+            match fast {
+                Err(RouteError::Unroutable(id)) => failing.push(id),
+                other => panic!("{rotations} rotations: {other:?}"),
+            }
+        }
+        assert_eq!(failing, [1, 0, 1, 0, 1, 0, 1, 0]);
+    }
+
+    #[test]
+    fn arrival_past_u32_max_is_a_typed_error() {
+        // An arrival tick that does not fit in u32 is unreachable, not an
+        // overflow: both planners report the same typed error.
+        let g = grid(8, 8);
+        let late = RoutingRequest::new(0, Cell::new(0, 0), Cell::new(3, 0)).departing(u32::MAX - 1);
+        let pinned = late.clone().with_deadline(u32::MAX);
+        // Arriving at exactly u32::MAX fits; two such droplets also go
+        // through the reservation index.
+        let last_tick = vec![
+            RoutingRequest::new(1, Cell::new(0, 0), Cell::new(1, 0)).departing(u32::MAX - 1),
+            RoutingRequest::new(2, Cell::new(5, 5), Cell::new(5, 4)).departing(u32::MAX - 1),
+        ];
+        for lookahead in [0u32, 1, 2] {
+            let cfg = RoutingConfig::new().lookahead(lookahead);
+            let fast = route_concurrent(&g, std::slice::from_ref(&late), &cfg);
+            assert_eq!(fast, Err(RouteError::Unroutable(0)));
+            assert_eq!(
+                fast,
+                reference::route_concurrent(&g, std::slice::from_ref(&late), &cfg)
+            );
+            let fast = route_concurrent(&g, std::slice::from_ref(&pinned), &cfg);
+            assert_eq!(fast, Err(RouteError::DeadlineMissed(0)));
+            assert_eq!(
+                fast,
+                reference::route_concurrent(&g, std::slice::from_ref(&pinned), &cfg)
+            );
+            let fast = route_concurrent(&g, &last_tick, &cfg);
+            assert_eq!(fast.as_ref().map(|o| o.makespan), Ok(u32::MAX));
+            assert_eq!(fast, reference::route_concurrent(&g, &last_tick, &cfg));
+        }
+    }
+
     #[test]
     fn matches_reference_on_contended_instances() {
         // The reservation index must reproduce the oracle exactly —
         // routes, makespan, stalls and rotation count — including on
-        // instances that force detours, merge-group traffic and degraded
-        // dwells. The broad randomized differential lives in
+        // instances that force detours, merge-group traffic, degraded
+        // dwells and a long landing-window plateau across a degraded
+        // electrode. The broad randomized differential lives in
         // tests/route_differential.rs; this is the in-crate smoke.
         let g = grid(12, 12);
         let reqs = vec![
             RoutingRequest::new(0, Cell::new(0, 5), Cell::new(11, 5)),
             RoutingRequest::new(1, Cell::new(11, 6), Cell::new(0, 6)),
-            RoutingRequest::new(2, Cell::new(5, 0), Cell::new(5, 11)).departing(2),
+            RoutingRequest::new(2, Cell::new(5, 0), Cell::new(5, 11))
+                .departing(2)
+                .arriving_no_earlier_than(45),
             RoutingRequest::new(3, Cell::new(0, 0), Cell::new(6, 6)).in_merge_group(9),
             RoutingRequest::new(4, Cell::new(11, 0), Cell::new(6, 6))
                 .in_merge_group(9)
                 .arriving_no_earlier_than(14),
         ];
         let walls = [Obstacle::region(Cell::new(8, 8), Cell::new(9, 9), 0, 40, 3)];
-        let degraded = [Cell::new(3, 5), Cell::new(3, 6)];
+        let degraded = [Cell::new(3, 5), Cell::new(3, 6), Cell::new(5, 3)];
         for lookahead in [0u32, 1, 2] {
             let cfg = RoutingConfig::new().lookahead(lookahead);
             let fast = route_with_environment(&g, &reqs, &walls, &degraded, &cfg);

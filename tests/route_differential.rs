@@ -1,10 +1,11 @@
 //! Differential pin of the reservation-indexed droplet router against the
 //! frozen pre-index planner (`route::reference`): for any workload the
 //! generators produce — spread random instances decorated with departures,
-//! deadlines, merge groups, obstacles and degraded electrodes, and the
-//! transport batches real `random_protocol` compilations hand the router —
-//! both planners must return byte-identical results: the same `Route`
-//! sequences, the same `RoutingOutcome` stats, or the same error.
+//! deadlines, merge groups, landing windows, obstacles and degraded
+//! electrodes, the transport batches real `random_protocol` compilations
+//! hand the router, and crowded instances that exhaust every priority
+//! rotation — both planners must return byte-identical results: the same
+//! `Route` sequences, the same `RoutingOutcome` stats, or the same error.
 //!
 //! All randomness is seed-derived through the vendored deterministic
 //! proptest, so the exact same cases replay in CI.
@@ -12,7 +13,7 @@
 use micronano::fluidics::compiler::transport_plan;
 use micronano::fluidics::geometry::{Cell, Grid};
 use micronano::fluidics::modules::ModuleLibrary;
-use micronano::fluidics::route::{self, Obstacle, RoutingConfig};
+use micronano::fluidics::route::{self, Obstacle, RouteError, RoutingConfig, RoutingRequest};
 use micronano::fluidics::schedule::{schedule_with_keepout, ScheduleConfig};
 use micronano::fluidics::workload::{random_protocol, random_routing_instance, RoutingWorkload};
 use proptest::prelude::*;
@@ -20,14 +21,15 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// Decorates a spread instance with the request features the compiler
-/// uses — staggered departures, deadlines, a merge-group pair — plus a
-/// random time-windowed obstacle and a couple of degraded electrodes,
-/// all derived deterministically from `seed`.
-fn decorate(
-    seed: u64,
-    grid: &Grid,
-    requests: &mut [micronano::fluidics::route::RoutingRequest],
-) -> (Vec<Obstacle>, Vec<Cell>) {
+/// uses — staggered departures, deadlines, a merge-group pair, landing
+/// windows — plus a random time-windowed obstacle and a couple of
+/// degraded electrodes, all derived deterministically from `seed`.
+///
+/// A landing window (`earliest_arrival`) opens up to 40 ticks after the
+/// droplet could first arrive, so the planner must hold it on a long
+/// plateau of equal-cost states; some of those droplets also get a
+/// degraded electrode inside their start–goal box, on a shortest path.
+fn decorate(seed: u64, grid: &Grid, requests: &mut [RoutingRequest]) -> (Vec<Obstacle>, Vec<Cell>) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     for req in requests.iter_mut() {
         if rng.gen_bool(0.5) {
@@ -61,7 +63,7 @@ fn decorate(
             0,
         ));
     }
-    let degraded: Vec<Cell> = (0..rng.gen_range(0..4))
+    let mut degraded: Vec<Cell> = (0..rng.gen_range(0..4))
         .map(|_| {
             Cell::new(
                 rng.gen_range(0..grid.width()),
@@ -69,7 +71,46 @@ fn decorate(
             )
         })
         .collect();
+    for req in requests.iter_mut() {
+        if rng.gen_bool(0.3) {
+            let trip = req.start.manhattan(req.goal) as u32;
+            req.earliest_arrival = Some(req.depart + trip + rng.gen_range(0..40));
+            if rng.gen_bool(0.5) {
+                let (x0, x1) = (req.start.x.min(req.goal.x), req.start.x.max(req.goal.x));
+                let (y0, y1) = (req.start.y.min(req.goal.y), req.start.y.max(req.goal.y));
+                degraded.push(Cell::new(rng.gen_range(x0..=x1), rng.gen_range(y0..=y1)));
+            }
+        }
+    }
     (obstacles, degraded)
+}
+
+/// A small instance on which every priority order fails: tight deadlines
+/// (the trip plus at most two ticks of slack) on a crowded 8×8 array.
+/// Seeds are tried from `seed` on until the oracle fails even with 39
+/// rotations, which, since each pass depends only on the order, means
+/// every rotation budget below 40 fails too. About two in five seeds
+/// qualify; their orders cycle with periods from 1 to 6.
+fn exhausting_instance(seed: u64) -> (Grid, Vec<RoutingRequest>) {
+    for s in seed.. {
+        let mut rng = ChaCha8Rng::seed_from_u64(s);
+        let droplets = rng.gen_range(3..6);
+        let w = RoutingWorkload {
+            grid_side: 8,
+            droplets,
+        };
+        let (grid, mut requests) = random_routing_instance(&w, &mut rng);
+        for req in requests.iter_mut() {
+            let trip = req.start.manhattan(req.goal) as u32;
+            req.deadline = Some(trip + rng.gen_range(0..3));
+        }
+        let cfg = RoutingConfig::new().max_priority_rotations(39);
+        let oracle = route::reference::route_with_environment(&grid, &requests, &[], &[], &cfg);
+        if matches!(oracle, Err(RouteError::Unroutable(_))) {
+            return (grid, requests);
+        }
+    }
+    unreachable!("the seed range is unbounded")
 }
 
 proptest! {
@@ -122,6 +163,23 @@ proptest! {
         let fast = route::route_with_environment(&grid, &requests, &obstacles, &[], &cfg);
         let oracle =
             route::reference::route_with_environment(&grid, &requests, &obstacles, &[], &cfg);
+        prop_assert_eq!(fast, oracle);
+    }
+
+    // Instances that exhaust every rotation budget: the production
+    // router stops once a planning order repeats and answers by period
+    // arithmetic, the oracle runs every rotation; both must name the same
+    // unroutable droplet for any budget.
+    #[test]
+    fn exhausted_rotations_match_oracle(
+        seed in 0u64..100_000,
+        rotations in 0u32..40,
+    ) {
+        let (grid, requests) = exhausting_instance(seed);
+        let cfg = RoutingConfig::new().max_priority_rotations(rotations);
+        let fast = route::route_with_environment(&grid, &requests, &[], &[], &cfg);
+        let oracle = route::reference::route_with_environment(&grid, &requests, &[], &[], &cfg);
+        prop_assert!(matches!(oracle, Err(RouteError::Unroutable(_))), "{:?}", oracle);
         prop_assert_eq!(fast, oracle);
     }
 }

@@ -1,6 +1,6 @@
 //! Telemetry conformance: profiling must never change the physics.
 //!
-//! Three contracts over `mns-telemetry` as wired into the workspace:
+//! Four contracts over `mns-telemetry` as wired into the workspace:
 //!
 //! 1. **Inert when off**: with telemetry disabled (the default), the
 //!    golden corpus digests match `tests/golden/corpus.txt` and random
@@ -12,6 +12,9 @@
 //! 3. **Exports are well-formed**: the Chrome-trace JSON parses with
 //!    correctly nested B/E pairs, folded stacks and the metrics snapshot
 //!    pass their validators.
+//! 4. **Work counters are pinned**: the router's deterministic A\*
+//!    expansion count for a reference compile is asserted exactly, so a
+//!    search that does more work fails without any timing.
 //!
 //! Telemetry state is process-global, so every test here serializes on
 //! one lock and resets state on entry and exit.
@@ -25,6 +28,8 @@ use micronano::core::runner::{
     conformance_corpus, AssayKind, FluidicsScenario, GrnModel, HarvestScenario, KnockoutScenario,
     NocScenario, Runner, RunnerConfig, Scenario, ScenarioOutcome, WsnScenario,
 };
+use micronano::fluidics::assay::serial_dilution;
+use micronano::fluidics::compiler::{compile, CompilerConfig};
 use micronano::noc::graph::CommGraph;
 use micronano::policy::PolicyExpr;
 use micronano::telemetry;
@@ -194,6 +199,23 @@ fn chrome_trace_and_folded_exports_validate() {
         telemetry::validate_snapshot_text(&snap.to_text())
             .expect("metrics snapshot text must validate");
     });
+}
+
+#[test]
+fn router_expansions_for_the_dilution_ladder_are_pinned() {
+    // The A* expansion count is deterministic and host-independent, so it
+    // is the router's regression signal. The search ordered by
+    // `t + manhattan` alone, before the arrival gate joined the key,
+    // needed 372,672 expansions for this compile. A rise fails here; a
+    // deliberate fall updates the pin.
+    let expansions = isolated(|| {
+        telemetry::enable(Arc::new(telemetry::VirtualClock::default()));
+        let before = telemetry::snapshot().counter("fluidics.route.expansions");
+        compile(&serial_dilution(4), &CompilerConfig::default()).expect("dilution4 compiles");
+        telemetry::disable();
+        telemetry::snapshot().counter("fluidics.route.expansions") - before
+    });
+    assert_eq!(expansions, 24_425);
 }
 
 proptest! {
